@@ -42,10 +42,6 @@ class DegenerateSegment(ChordError):
     pass
 
 
-class NoConvergence(ChordError):
-    """Descent hit its iteration cap; the best iterate is still returned."""
-
-
 # -- geometry ----------------------------------------------------------------
 
 
@@ -607,6 +603,36 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
     return out0[good], out1[good], resnorm[good]
 
 
+_REP_BLOCK = 64
+
+
+def _count_distinct(keys: Iterable[np.ndarray], tol: float) -> int:
+    """Greedy count of representatives among endpoint keys, in order.
+
+    A key becomes a new representative unless it lies within ``tol`` (max
+    norm) of an earlier representative of the same length; keys from
+    component pairs of different dimension never match.  Representatives
+    are stacked in blocks of ``_REP_BLOCK`` rows and each key is tested
+    against a whole block in one vectorised step; small fixed blocks keep
+    the temporaries of that test, and so the peak memory, small.
+    """
+    reps: dict[int, list] = {}  # key length -> [blocks, rows used in the last block]
+    count = 0
+    for key in keys:
+        slot = reps.setdefault(len(key), [[], _REP_BLOCK])
+        blocks, used = slot
+        stacks = blocks[:-1] + [blocks[-1][:used]] if blocks else []
+        if any(np.any(np.max(np.abs(s - key), axis=1) < tol) for s in stacks):
+            continue
+        if used == _REP_BLOCK:
+            blocks.append(np.empty((_REP_BLOCK, len(key))))
+            used = 0
+        blocks[-1][used] = key
+        slot[1] = used + 1
+        count += 1
+    return count
+
+
 def find_spectrum(
     manifold: ParamSubmanifold, cfg: ChordConfig, diagnostics: dict | None = None
 ) -> list[ChordResult]:
@@ -645,14 +671,6 @@ def find_spectrum(
     def flush():
         if not group:
             return
-        reps: list[np.ndarray] = []
-        for item in group:
-            key = np.concatenate([item[3], item[4]])
-            for rkey in reps:
-                if len(rkey) == len(key) and np.max(np.abs(key - rkey)) < cfg.dedup_pt_tol:
-                    break
-            else:
-                reps.append(key)
         best = group[0]
         path = straight_path(manifold, best[1], best[2], best[3], best[4], cfg.nu)
         residual = max(binormality_residual(path), max(g[5] for g in group))
@@ -664,7 +682,9 @@ def find_spectrum(
                 u1=best[4],
                 length=float(np.median([g[0] for g in group])),
                 residual=float(residual),
-                multiplicity=len(reps),
+                multiplicity=_count_distinct(
+                    (np.concatenate([g[3], g[4]]) for g in group), cfg.dedup_pt_tol
+                ),
                 points=path.points,
             )
         )

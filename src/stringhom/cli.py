@@ -5,7 +5,9 @@ cord, specseq.  Results print as plain tables and can be written as JSON or
 CSV; every run drops a manifest (command, parameters, versions, wall time,
 output paths) into the output directory.  Exit codes: 0 ok, 2 invalid
 length window, 3 malformed DGA input, 4 chord search failure rate over the
-threshold, 5 cord truncation instability.
+threshold, 5 cord truncation instability, 6 parameter out of range or not
+applicable to the input.  Each error exit prints one ``error:`` line on
+stderr; the mapping is the ``ERRORS`` table.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ EXIT_WINDOW = 2
 EXIT_INVALID_DGA = 3
 EXIT_CHORD_FAILURES = 4
 EXIT_TRUNCATION = 5
+EXIT_PARAMETER = 6
+
+# Exception types to (exit code, message prefix); the first match wins.
+ERRORS = (
+    ((free_dga.WindowCollision,), EXIT_WINDOW, "invalid length window"),
+    ((free_dga.InvalidDGA, free_dga.UnknownGenerator), EXIT_INVALID_DGA, "invalid DGA"),
+    (
+        (free_dga.ParameterOutOfRange, free_dga.NotApplicable, free_dga.GradingViolation,
+         chords.ParameterOutOfRange, cord.BoundExceeded),
+        EXIT_PARAMETER,
+        "bad parameter",
+    ),
+)
 
 FAILURE_RATE_THRESHOLD = 0.2
 
@@ -102,7 +117,8 @@ def cmd_dga_homology(args) -> int:
     if args.degree_range:
         lo, hi = args.degree_range
         degrees = list(range(lo, hi + 1))
-    rows = [(p, free_dga.homology_dim(dga, p, window)) for p in degrees]
+    dims = free_dga.homology_dims_all(dga, window, degrees)
+    rows = [(p, dims[p]) for p in degrees]
     result = {
         "dga": dga.name,
         "window": str(window.bound),
@@ -388,15 +404,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except free_dga.WindowCollision as exc:
-        print(f"error: invalid length window: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except free_dga.InvalidDGA as exc:
-        print(f"error: invalid DGA: {exc}", file=sys.stderr)
-        return EXIT_INVALID_DGA
-    except cord.TruncationInstability as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
+    except tuple(t for types, _, _ in ERRORS for t in types) as exc:
+        code, what = next((c, w) for types, c, w in ERRORS if isinstance(exc, types))
+        print(f"error: {what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

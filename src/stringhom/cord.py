@@ -64,10 +64,6 @@ class BoundExceeded(CordError):
     pass
 
 
-class TruncationInstability(CordError):
-    pass
-
-
 @dataclass(frozen=True)
 class CordGenerator:
     id: str

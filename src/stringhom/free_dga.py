@@ -173,6 +173,9 @@ class DGA:
         self.by_id = {g.id: g for g in self.generators}
         if len(self.by_id) != len(self.generators):
             raise InvalidDGA("duplicate generator ids")
+        unknown = sorted(set(diff) - set(self.by_id))
+        if unknown:
+            raise InvalidDGA(f"diff names unknown generators {unknown}")
         self.diff = {g.id: diff.get(g.id, AlgebraElement.zero()) for g in self.generators}
         self.del_part = dict(del_part) if del_part is not None else None
         self.f_part = dict(f_part) if f_part is not None else None
@@ -374,14 +377,20 @@ def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
     return lhs < rhs
 
 
-def _enumerate_words(dga: DGA, window: LengthWindow, degree: int | None) -> list[Word]:
+def _enumerate_words(
+    dga: DGA, window: LengthWindow, degree: int | None, max_degree: int | None = None
+) -> list[Word]:
     """All words below the window bound, optionally filtered to one degree.
 
     Depth-first over appended letters, pruning by remaining length always
-    and by degree when the grading is nonnegative.  Output is sorted in the
-    canonical monomial order (degree, length, letter count, lex).
+    and, when the grading is nonnegative, by degree above ``degree`` (or
+    above ``max_degree`` when no single degree is asked for).  Output is
+    sorted in the canonical monomial order (degree, length, letter count,
+    lex).
     """
-    nonneg = dga.nonneg_graded
+    cap = degree if degree is not None else max_degree
+    if not dga.nonneg_graded:
+        cap = None
     scaled, (pa, qa), n = _scaled_lengths(dga, window)
     gens = [
         (g.id, g.degree, sp, sq, float(g.length))
@@ -398,11 +407,14 @@ def _enumerate_words(dga: DGA, window: LengthWindow, degree: int | None) -> list
             if not _below_bound(np_, nq, pa, qa, n):
                 continue
             ndeg = deg + gdeg
-            if degree is not None and nonneg and ndeg > degree:
+            if cap is not None and ndeg > cap:
                 continue
             stack.append((word + (gid,), ndeg, np_, nq, lf + gf))
     out.sort()
-    return [item[3] for item in out]
+    # Strip the sort keys in place: a second list would raise peak memory.
+    for k, item in enumerate(out):
+        out[k] = item[3]
+    return out
 
 
 def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list[Word]:
@@ -471,39 +483,36 @@ def _diff_matrix_rank(dga: DGA, source: list[Word], target: list[Word]) -> int:
 
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
     """dim ker(D at this degree) - dim im(D from one degree up)."""
-    window.ensure_valid(dga)
-    basis_p = word_basis(dga, degree, window)
-    if not basis_p:
-        return 0
-    basis_down = word_basis(dga, degree - 1, window)
-    basis_up = word_basis(dga, degree + 1, window)
-    rank_down = _diff_matrix_rank(dga, basis_p, basis_down) if basis_down else 0
-    rank_from_up = _diff_matrix_rank(dga, basis_up, basis_p) if basis_up else 0
-    return len(basis_p) - rank_down - rank_from_up
+    return homology_dims_all(dga, window, [degree])[degree]
 
 
-def homology_dims_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
-    """Homology dimensions for every populated degree, sharing rank work.
+def homology_dims_all(
+    dga: DGA, window: LengthWindow, degrees: Iterable[int] | None = None
+) -> dict[int, int]:
+    """Homology dimensions at ``degrees``, or at every populated degree.
 
-    Enumerates the window basis once, buckets it by degree, and computes the
-    rank of each boundary block a single time (each is used at two degrees).
+    Enumerates the window basis once (pruned above the largest requested
+    degree + 1 when the grading is nonnegative), buckets it by degree, and
+    ranks each needed boundary block a single time; the block from degree p
+    to p - 1 serves both H_p and H_(p-1).
     """
     window.ensure_valid(dga)
+    wanted = None if degrees is None else sorted(set(degrees))
+    if wanted == []:
+        return {}
     by_degree: dict[int, list[Word]] = {}
     # Enumeration is already canonically ordered; bucketing preserves it.
-    for w in _enumerate_words(dga, window, None):
+    for w in _enumerate_words(dga, window, None, wanted[-1] + 1 if wanted else None):
         by_degree.setdefault(dga.word_degree(w), []).append(w)
-    degrees = sorted(by_degree)
-    ranks: dict[int, int] = {}
-    for p in degrees:
-        if p - 1 in by_degree:
-            ranks[p] = _diff_matrix_rank(dga, by_degree[p], by_degree[p - 1])
-        else:
-            ranks[p] = 0
-    dims = {}
-    for p in degrees:
-        dims[p] = len(by_degree[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0)
-    return dims
+    if wanted is None:
+        wanted = sorted(by_degree)
+    # ranks[p] is the rank of D from degree p to degree p - 1.
+    ranks = {
+        p: _diff_matrix_rank(dga, by_degree[p], by_degree[p - 1])
+        for p in sorted({p + k for p in wanted for k in (0, 1)})
+        if p in by_degree and p - 1 in by_degree
+    }
+    return {p: len(by_degree.get(p, ())) - ranks.get(p, 0) - ranks.get(p + 1, 0) for p in wanted}
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:
@@ -676,15 +685,6 @@ def forget_F(dga: DGA) -> DGA:
         del_part=del_part,
         f_part={g.id: zero for g in dga.generators},
         name=f"{dga.name}|del",
-    )
-
-
-def chord_word_count(dga: DGA, degree: int, window: LengthWindow) -> int:
-    """Number of weight-1-letter words of a given degree below the window."""
-    return sum(
-        1
-        for w in word_basis(dga, degree, window)
-        if all(dga.gen(g).weight == 1 for g in w)
     )
 
 

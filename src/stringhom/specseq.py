@@ -1,16 +1,19 @@
 """Spectral sequences of bounded filtered finite chain complexes.
 
 A filtered complex is a finite based chain complex whose boundary never
-raises the integer filtration level.  Pages are computed by the classical
-subquotient formula
+raises the integer filtration level.  Page r is the subquotient
 
     Z^r(p, n)  = { x in F_p, degree n : dx in F_(p-r) }
     E^r_(p,q)  = Z^r(p, p+q) / ( Z^(r-1)(p-1, p+q) + d Z^(r-1)(p+r-1, p+q+1) )
 
-with every dimension an exact rational rank.  Because the filtration is
-bounded, pages stabilize once r exceeds the filtration width, giving E-oo,
-and ``convergence_check`` confirms that the E-oo column sums recover the
-total homology in every degree.
+but every page is read off the persistence pairs of one exact reduction of
+the boundary, ordered by (filtration, index) (Zomorodian-Carlsson; pages
+from pairs as in Basu-Parida): a pair whose filtration gap is g lives on
+E^1..E^g, and unpaired cells live on every page.  The pairs are computed
+once per complex and shared by all pages, E-oo and ``convergence_check``,
+which confirms that the E-oo column sums recover the total homology in
+every degree; that homology, and the associated graded homology checked
+against E^1, are computed independently of the pairs.
 
 ``from_dga`` realizes the weight filtration of a length-windowed free DGA:
 cells are words, the filtration level of a word is minus its total weight,
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import free_dga
-from .exactlin import RowReducer, SparseMatrix, Subspace, as_fraction
+from .exactlin import RowReducer, SparseMatrix, as_fraction
 
 
 class FilteredComplexError(Exception):
@@ -51,6 +54,7 @@ class FilteredComplex:
         self.index = {c.id: i for i, c in enumerate(self.cells)}
         if len(self.index) != len(self.cells):
             raise FilteredComplexError("duplicate cell ids")
+        self._pairs = None
         if validate:
             self.validate()
 
@@ -100,6 +104,31 @@ class FilteredComplex:
             dims[n] = len(idxs) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         return {n: d for n, d in dims.items()}
 
+    def persistence_pairs(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """(lead, column) pairs and unpaired cells of one filtered reduction.
+
+        The standard persistence algorithm: cells are ordered by
+        (filtration, index) and each boundary column is added in that order
+        to a single ``RowReducer`` whose leading entry is the latest cell in
+        the order.  A column that leaves a new pivot pairs its cell with the
+        pivot cell; cells in no pair carry the homology.  Computed once per
+        complex and cached.
+        """
+        if self._pairs is None:
+            order = sorted(range(len(self.cells)), key=lambda i: (self.cells[i].filtration, i))
+            pos = [0] * len(order)
+            for k, i in enumerate(order):
+                pos[i] = k
+            red = RowReducer(col_key=lambda i: -pos[i])
+            cols = self.boundary.col_dicts()
+            pairs = []
+            for j in order:
+                if cols[j] and red.add(cols[j]):
+                    pairs.append((next(reversed(red.pivots)), j))
+            paired = {c for pair in pairs for c in pair}
+            self._pairs = (pairs, [i for i in order if i not in paired])
+        return self._pairs
+
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self.cells)} cells)"
 
@@ -122,100 +151,25 @@ class PageTable:
         return out
 
 
-class _PageEngine:
-    """Caches the Z^r subspaces of one filtered complex."""
-
-    def __init__(self, fc: FilteredComplex):
-        self.fc = fc
-        self.n_cells = len(fc.cells)
-        self.cols = fc.boundary.col_dicts()
-        self._z_cache: dict = {}
-        lo, hi = fc.filtration_range
-        self.p_min, self.p_max = lo, hi
-        self.width = hi - lo
-
-    def _cells_at(self, p: int, n: int) -> list[int]:
-        return [
-            i
-            for i, c in enumerate(self.fc.cells)
-            if c.degree == n and c.filtration <= p
-        ]
-
-    def z_space(self, p: int, n: int, r: int) -> Subspace:
-        """Z^r(p, n) in global cell coordinates."""
-        key = (p, n, r)
-        cached = self._z_cache.get(key)
-        if cached is not None:
-            return cached
-        idxs = self._cells_at(p, n)
-        if not idxs:
-            space = Subspace(self.n_cells, [])
-            self._z_cache[key] = space
-            return space
-        # Constraint rows: components of the boundary in filtration > p - r.
-        bad_rows: dict[int, dict[int, Fraction]] = {}
-        for col_pos, j in enumerate(idxs):
-            for i, v in self.cols[j].items():
-                if self.fc.cells[i].filtration > p - r:
-                    bad_rows.setdefault(i, {})[col_pos] = v
-        m = SparseMatrix(
-            self.n_cells,
-            len(idxs),
-            {(i, c): v for i, row in bad_rows.items() for c, v in row.items()},
-        )
-        from .exactlin import kernel_basis
-
-        local = kernel_basis(m)
-        vectors = [
-            {idxs[c]: v for c, v in row.items()} for row in local.basis
-        ]
-        space = Subspace.from_vectors(self.n_cells, vectors)
-        self._z_cache[key] = space
-        return space
-
-    def boundary_image(self, space: Subspace) -> list[dict]:
-        out = []
-        for row in space.basis:
-            img: dict = {}
-            for j, coeff in row.items():
-                for i, v in self.cols[j].items():
-                    val = img.get(i, Fraction(0)) + coeff * v
-                    if val == 0:
-                        img.pop(i, None)
-                    else:
-                        img[i] = val
-            if img:
-                out.append(img)
-        return out
-
-    def page_dim(self, p: int, q: int, r: int) -> int:
-        n = p + q
-        z = self.z_space(p, n, r)
-        if z.dim == 0:
-            return 0
-        red = RowReducer()
-        for row in self.z_space(p - 1, n, r - 1).basis:
-            red.add(row)
-        for row in self.boundary_image(self.z_space(p + r - 1, n + 1, r - 1)):
-            red.add(row)
-        boundary_dim = red.rank
-        # All boundary-part vectors lie inside Z^r, so the subquotient
-        # dimension is a plain difference.
-        return z.dim - boundary_dim
-
-
 def page(fc: FilteredComplex, r: int) -> PageTable:
-    """Dimension table of the r-th page (r >= 1)."""
+    """Dimension table of the r-th page (r >= 1), read off the pairs.
+
+    E^r_(p,q) counts the unpaired cells at (p, p+q) plus both ends of
+    every pair whose filtration gap is at least r: a pair with gap g
+    survives to E^g and is cancelled by the differential d^g.
+    """
     if r < 1:
         raise ValueError("page index must be at least 1")
-    eng = _PageEngine(fc)
+    pairs, unpaired = fc.persistence_pairs()
+    cells = fc.cells
+    alive = list(unpaired)
+    for i, j in pairs:
+        if cells[j].filtration - cells[i].filtration >= r:
+            alive += (i, j)
     dims: dict[tuple[int, int], int] = {}
-    n_lo, n_hi = fc.degree_range
-    for p in range(eng.p_min, eng.p_max + 1):
-        for n in range(n_lo, n_hi + 1):
-            d = eng.page_dim(p, n - p, r)
-            if d:
-                dims[(p, n - p)] = d
+    for i in alive:
+        key = (cells[i].filtration, cells[i].degree - cells[i].filtration)
+        dims[key] = dims.get(key, 0) + 1
     return PageTable(r, dims)
 
 
@@ -319,8 +273,13 @@ def complex_from_json_dict(data: Mapping) -> FilteredComplex:
     index = {c.id: i for i, c in enumerate(cells)}
     entries = {}
     for rec in data.get("boundary", []):
-        i, j = index[rec["to"]], index[rec["from"]]
-        entries[(i, j)] = as_fraction(str(rec["coeff"]))
+        src, dst = str(rec["from"]), str(rec["to"])
+        if src not in index or dst not in index:
+            raise FilteredComplexError(f"boundary record {src} -> {dst} names an unknown cell")
+        key = (index[dst], index[src])
+        if key in entries:
+            raise FilteredComplexError(f"duplicate boundary record {src} -> {dst}")
+        entries[key] = as_fraction(str(rec["coeff"]))
     return FilteredComplex(cells, SparseMatrix(len(cells), len(cells), entries))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stringhom.chords import (
+    _count_distinct,
     BrokenPath,
     ChordConfig,
     Component,
@@ -364,3 +365,43 @@ class TestSumSpectrum:
             chord_sum_spectrum([1], 0, 5)
         with pytest.raises(ParameterOutOfRange):
             chord_sum_spectrum([1], 1, 0)
+
+
+def _count_distinct_loop(keys, tol):
+    """Pairwise greedy loop: one max-norm test per (key, representative)."""
+    reps = []
+    for key in keys:
+        for rkey in reps:
+            if len(rkey) == len(key) and np.max(np.abs(key - rkey)) < tol:
+                break
+        else:
+            reps.append(key)
+    return len(reps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_count_distinct_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-3
+    # Key lengths 4, 5, 6: circle/circle, circle/sphere, sphere/sphere pairs.
+    # Centres per length, from a few to more than one block of
+    # representatives, jittered so that some neighbours lie within tol of
+    # each other and some do not.
+    centres = [rng.normal(size=dim) for dim in (4, 5, 6) for _ in range(3 + 30 * (seed % 4))]
+    keys = [
+        centres[k] + rng.uniform(-0.6, 0.6, size=len(centres[k])) * tol
+        for k in rng.integers(0, len(centres), size=4 * len(centres))
+    ]
+    count = _count_distinct(keys, tol)
+    assert count == _count_distinct_loop(keys, tol)
+    assert 1 < count < len(keys)
+
+
+def test_count_distinct_never_matches_across_key_lengths():
+    keys = [np.zeros(4), np.zeros(5), np.zeros(4), np.zeros(5) + 1.0]
+    assert _count_distinct(keys, 1e-3) == 3
+
+
+def test_count_distinct_beyond_one_block():
+    keys = [np.full(4, float(k)) for k in range(200)]
+    assert _count_distinct(keys + [k + 1e-4 for k in keys], 1e-3) == 200

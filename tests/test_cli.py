@@ -223,3 +223,50 @@ class TestSpecseq:
         )
         assert code == 0
         assert "convergence to total homology: OK" in out
+
+
+class TestErrorExits:
+    """Every failure maps to a documented exit code with one stderr line."""
+
+    def check(self, argv, code, tmp_path, capsys):
+        got, _, err = run(argv + ["--outdir", str(tmp_path)], capsys)
+        assert got == code
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_hopf_d1_exit_6(self, tmp_path, capsys):
+        err = self.check(["dga-homology", "--builtin", "hopf", "--d", "1", "--degree", "0"],
+                         6, tmp_path, capsys)
+        assert "d must be at least 2" in err
+
+    def test_unlink_chords_without_z2star_exit_6(self, tmp_path, capsys):
+        err = self.check(["chords", "--builtin", "unlink", "--d", "2"], 6, tmp_path, capsys)
+        assert "z2star" in err
+
+    def test_cord_wmax_beyond_bound_exit_6(self, tmp_path, capsys):
+        err = self.check(["cord", "--builtin", "hopf_link", "--wmax", "50"], 6, tmp_path, capsys)
+        assert "exceeds presentation bound" in err
+
+    def test_forget_f_on_spec_exit_6(self, tmp_path, capsys):
+        spec = tmp_path / "plain.json"
+        free_dga.save_dga(free_dga.build_hopf(2), spec)
+        self.check(["specseq", "--spec", str(spec), "--a", "3.5", "--forget-f"],
+                   6, tmp_path, capsys)
+
+    def test_unknown_letter_exit_3(self, tmp_path, capsys):
+        spec = tmp_path / "letter.json"
+        data = free_dga.dga_to_json_dict(free_dga.build_hopf(2))
+        data["diff"]["d1_00"] = [{"coeff": "1", "word": ["zz"]}]
+        spec.write_text(json.dumps(data))
+        self.check(["dga-homology", "--spec", str(spec), "--degree", "0"], 3, tmp_path, capsys)
+
+    def test_diff_of_unknown_generator_exit_3(self, tmp_path, capsys):
+        spec = tmp_path / "key.json"
+        data = free_dga.dga_to_json_dict(free_dga.build_unlink(2, 3))
+        data["diff"]["C1_00"] = [{"coeff": "1", "word": ["c0_01", "c0_10"]}]
+        spec.write_text(json.dumps(data))
+        err = self.check(["dga-homology", "--spec", str(spec), "--degree", "0", "--a", "6.5"],
+                         3, tmp_path, capsys)
+        assert "C1_00" in err

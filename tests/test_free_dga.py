@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from stringhom.free_dga import (
     homology_dims_all,
     mul,
     word_basis,
+    _diff_matrix_rank,
 )
 from stringhom.lengths import Surd
 
@@ -261,6 +263,49 @@ class TestHomology:
             )
 
 
+def _per_degree_dim(dga, p, window):
+    """H_p from three separately enumerated bases, one rank per boundary."""
+    basis = word_basis(dga, p, window)
+    down, up = word_basis(dga, p - 1, window), word_basis(dga, p + 1, window)
+    rank_down = _diff_matrix_rank(dga, basis, down) if basis and down else 0
+    rank_up = _diff_matrix_rank(dga, up, basis) if up and basis else 0
+    return len(basis) - rank_down - rank_up
+
+
+class TestSharedHomology:
+    CASES = [
+        (lambda: build_hopf(2), ["7/2", "9/2", "11/2"]),
+        (lambda: build_hopf(3), ["9/2", "13/2"]),
+        (lambda: build_unlink(2, 3), ["13/2", "19/2"]),
+        (lambda: forget_F(build_hopf(2)), ["9/2"]),
+    ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_degree_route(self, seed):
+        rng = random.Random(seed)
+        make, windows = self.CASES[seed % len(self.CASES)]
+        dga, window = make(), W(rng.choice(windows))
+        degrees = rng.sample(range(-2, 12), rng.randint(1, 5))
+        dims = homology_dims_all(dga, window, degrees)
+        assert sorted(dims) == sorted(degrees)
+        for p in degrees:
+            assert dims[p] == _per_degree_dim(dga, p, window)
+        full = homology_dims_all(dga, window)
+        for p in degrees:
+            assert dims[p] == full.get(p, 0)
+
+    def test_negative_grading_not_pruned(self):
+        gen = __import__("stringhom.free_dga", fromlist=["Generator"]).Generator
+        gens = [gen("a", -1, Surd(1)), gen("b", 0, Surd(1))]
+        dga = DGA(gens, {"b": AlgebraElement.gen("a")})
+        window = W("5/2")
+        dims = homology_dims_all(dga, window, [-1, 0])
+        assert dims == {p: _per_degree_dim(dga, p, window) for p in (-1, 0)}
+
+    def test_no_degrees(self, hopf2):
+        assert homology_dims_all(hopf2, W("7/2"), []) == {}
+
+
 class TestH0Slices:
     def test_hopf2(self, hopf2):
         assert h0_dims_by_wordcount(hopf2, W("13/2"), 4) == [1, 2, 2, 2, 2]
@@ -371,4 +416,16 @@ class TestJson:
         data = dga_to_json_dict(hopf2)
         data["diff"]["d1_00"] = [{"coeff": "1", "word": ["c1_00"]}]
         with pytest.raises(InvalidDGA):
+            dga_from_json_dict(data)
+
+    def test_import_rejects_diff_of_unknown_generator(self):
+        # Upper-case X names no generator: the term must not be dropped.
+        data = {
+            "generators": [
+                {"id": "x", "degree": 1, "length": "2"},
+                {"id": "y", "degree": 0, "length": "1"},
+            ],
+            "diff": {"X": [{"coeff": "1", "word": ["y"]}]},
+        }
+        with pytest.raises(InvalidDGA, match="unknown generators"):
             dga_from_json_dict(data)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from page_oracle import oracle_pages
 
 from stringhom import free_dga
 from stringhom.exactlin import SparseMatrix
@@ -210,3 +211,77 @@ class TestIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,p,q,dim"
         assert any(line.startswith("inf,") for line in lines[1:])
+
+
+def _all_pages(fc):
+    """Pages 1 .. width + 2 followed by E-oo, with the r list used."""
+    rs = list(range(1, stable_page_index(fc) + 1))
+    return rs + [-1], [page(fc, r) for r in rs] + [einfinity(fc)]
+
+
+class TestPersistenceOracle:
+    """Pages read off the persistence pairs equal the subquotient engine."""
+
+    def check(self, fc):
+        rs, tables = _all_pages(fc)
+        assert [t.dims for t in tables] == [t.dims for t in oracle_pages(fc, rs)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("ncells", [10, 12])
+    def test_random(self, seed, ncells):
+        self.check(random_filtered_complex(seed, ncells))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_unconjugated(self, seed):
+        self.check(random_filtered_pair(seed)[0])
+
+    def test_zero_boundary(self):
+        cells = [Cell("a", 0, 0), Cell("b", 1, -1), Cell("c", 1, -3), Cell("d", 2, -2)]
+        self.check(FilteredComplex(cells, SparseMatrix.zeros(4, 4)))
+
+    @pytest.mark.parametrize(
+        "dga,a",
+        [(free_dga.build_hopf(2), Fraction(9, 2)), (free_dga.build_unlink(2, 3), Fraction(19, 2))],
+        ids=["hopf2", "unlink23"],
+    )
+    def test_dga_windows(self, dga, a):
+        self.check(from_dga(dga, free_dga.LengthWindow(a)))
+
+    def test_pairs_computed_once(self, hopf_complex):
+        first = hopf_complex.persistence_pairs()
+        page(hopf_complex, 2)
+        convergence_check(hopf_complex)
+        assert hopf_complex.persistence_pairs() is first
+
+    def test_pairs_and_unpaired_partition_cells(self, hopf_complex):
+        pairs, unpaired = hopf_complex.persistence_pairs()
+        ends = [c for pair in pairs for c in pair] + unpaired
+        assert sorted(ends) == list(range(len(hopf_complex.cells)))
+        cells = hopf_complex.cells
+        for i, j in pairs:
+            assert cells[i].degree == cells[j].degree - 1
+            assert cells[i].filtration <= cells[j].filtration
+
+
+class TestStrictLoader:
+    def data(self):
+        return {
+            "cells": [{"id": "a", "degree": 1, "filtration": 0},
+                      {"id": "b", "degree": 0, "filtration": 0}],
+            "boundary": [{"from": "a", "to": "b", "coeff": "1"}],
+        }
+
+    def test_valid(self):
+        assert complex_from_json_dict(self.data()).homology_dims() == {0: 0, 1: 0}
+
+    def test_unknown_cell_id(self):
+        data = self.data()
+        data["boundary"][0]["to"] = "nope"
+        with pytest.raises(FilteredComplexError, match="unknown cell"):
+            complex_from_json_dict(data)
+
+    def test_duplicate_boundary_record(self):
+        data = self.data()
+        data["boundary"].append({"from": "a", "to": "b", "coeff": "2"})
+        with pytest.raises(FilteredComplexError, match="duplicate"):
+            complex_from_json_dict(data)
