@@ -112,7 +112,6 @@ def cmd_dga_homology(args) -> int:
     t0 = time.time()
     dga = _load_or_build_dga(args)
     window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-    window.ensure_valid(dga)
     degrees = args.degree if args.degree else []
     if args.degree_range:
         lo, hi = args.degree_range
@@ -306,7 +305,6 @@ def cmd_specseq(args) -> int:
     if args.forget_f:
         dga = free_dga.forget_F(dga)
     window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-    window.ensure_valid(dga)
     fc = specseq.from_dga(dga, window)
     tables = [specseq.page(fc, r) for r in range(1, args.rmax + 1)]
     einf = specseq.einfinity(fc)

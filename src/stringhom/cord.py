@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactlin import RowReducer
+from .exactlin import RowReducer, quotient_slice_dims
 
 Word = tuple[str, ...]
 
@@ -411,29 +411,12 @@ def quotient_dims_by_wordcount(pres: CordPresentation, wmax: int) -> list[int]:
                     continue
                 padded.append({u + w + v: c for w, c in row.items()})
 
-    # Echelon with longer words first: pivots beyond count w give the rank
-    # of the projection away from the w-truncation.
+    # Echelon with longer words first, so each pivot is its row's longest word.
     red = RowReducer(col_key=lambda w: (-len(w), w))
     for row in padded:
         red.add(row)
-    pivot_lengths = [len(w) for w in red.pivots]
-    total_rank = red.rank
-
     asize = len(alphabet)
-
-    def ambient(w: int) -> int:
-        return sum(asize**k for k in range(w + 1))
-
-    def beyond(w: int) -> int:
-        return sum(1 for k in pivot_lengths if k > w)
-
-    dims = []
-    prev = 0
-    for w in range(wmax + 1):
-        f_w = ambient(w) - (total_rank - beyond(w))
-        dims.append(f_w - prev)
-        prev = f_w
-    return dims
+    return quotient_slice_dims([asize**k for k in range(width)], (len(w) for w in red.pivots))
 
 
 def truncation_stable(name: str, kmax: int, wmax: int) -> bool:

@@ -3,17 +3,20 @@
 Every dimension computed by this package (homology groups, spectral sequence
 pages, cord quotients) comes down to ranks and kernels of sparse matrices
 whose entries are small integers or exact rationals.  A rank that is off by
-one is worthless, so all arithmetic here uses ``fractions.Fraction`` and no
-floating point ever enters.
+one is worthless, so no floating point ever enters.  ``RowReducer`` keeps
+entries as ``int`` while they stay integral (a lead of +-1 is normalised by
+negation) and moves to ``fractions.Fraction`` only when it divides by a
+lead that is not +-1; the built-in differentials never need it.
 
 Matrices store a ``(row, col) -> Fraction`` map with no explicit zeros; row
-vectors are plain ``{col: Fraction}`` dicts.  Reduced row echelon form is
+vectors are plain ``{col: int or Fraction}`` dicts.  Reduced row echelon form is
 canonical for a given row space, which makes every basis produced here
 deterministic and reproducible regardless of input order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -96,12 +99,6 @@ class SparseMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
     def apply(self, vec: Mapping[int, Fraction]) -> dict:
         """Matrix times column vector, both sparse."""
         out: dict = {}
@@ -148,26 +145,27 @@ class RowReducer:
 
     def __init__(self, col_key=None):
         self.pivots: dict = {}  # pivot column -> row dict (leading coeff 1)
-        self.col_key = col_key if col_key is not None else (lambda c: c)
+        self.col_key = col_key
 
     def _leading(self, row: dict):
         return min(row, key=self.col_key)
 
     def reduce(self, row: Mapping) -> dict:
         """Return the residual of ``row`` after reduction, without inserting."""
-        row = {c: as_fraction(v) for c, v in row.items() if v != 0}
+        row = {c: v if type(v) is int else as_fraction(v) for c, v in row.items() if v != 0}
+        pivots = self.pivots
         while row:
             lead = self._leading(row)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 return row
             coeff = row[lead]
             for c, v in piv.items():
-                nv = row.get(c, Fraction(0)) - coeff * v
-                if nv == 0:
-                    row.pop(c, None)
-                else:
+                nv = row.get(c, 0) - coeff * v
+                if nv:
                     row[c] = nv
+                else:
+                    row.pop(c, None)
         return row
 
     def add(self, row: Mapping) -> bool:
@@ -176,8 +174,13 @@ class RowReducer:
         if not res:
             return False
         lead = self._leading(res)
-        inv = Fraction(1) / res[lead]
-        self.pivots[lead] = {c: v * inv for c, v in res.items()}
+        v = res[lead]
+        if v == -1:
+            res = {c: -x for c, x in res.items()}
+        elif v != 1:
+            inv = Fraction(1) / v
+            res = {c: x * inv for c, x in res.items()}
+        self.pivots[lead] = res
         return True
 
     @property
@@ -202,13 +205,28 @@ class RowReducer:
             for c in [c for c in list(row) if c != col and c in final]:
                 coeff = row[c]
                 for cc, vv in final[c].items():
-                    nv = row.get(cc, Fraction(0)) - coeff * vv
-                    if nv == 0:
-                        row.pop(cc, None)
-                    else:
+                    nv = row.get(cc, 0) - coeff * vv
+                    if nv:
                         row[cc] = nv
+                    else:
+                        row.pop(cc, None)
             final[col] = row
         return [final[c] for c in cols]
+
+
+def quotient_slice_dims(slice_sizes: list[int], pivot_weights: Iterable[int]) -> list[int]:
+    """Slices dim F_w/F_(w-1), w = 0..len(slice_sizes)-1, of a quotient V/R.
+
+    F_w is spanned by the basis vectors of weight at most w, and
+    ``slice_sizes[w]`` counts those of weight exactly w.  ``pivot_weights``
+    are the weights of the pivot columns of an echelon basis of R whose
+    column order puts heavier columns first, so each pivot is the heaviest
+    column of its row.  The rows with pivot weight at most w then span
+    R inside F_w, and the slice is ``slice_sizes[w]`` minus the pivots of
+    weight exactly w.
+    """
+    per_weight = Counter(pivot_weights)
+    return [size - per_weight[w] for w, size in enumerate(slice_sizes)]
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:

@@ -24,12 +24,14 @@ words, and tests verify this.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Mapping
 
-from .exactlin import RowReducer, as_fraction
+from .exactlin import RowReducer, as_fraction, quotient_slice_dims
 from .lengths import IncompatibleRadicals, Surd, parse_length
 
 Word = tuple[str, ...]
@@ -148,11 +150,6 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear concatenation product; the empty word is the unit."""
-    return x * y
-
-
 class DGA:
     """Generator table plus differential table, validated at construction.
 
@@ -177,6 +174,19 @@ class DGA:
         if unknown:
             raise InvalidDGA(f"diff names unknown generators {unknown}")
         self.diff = {g.id: diff.get(g.id, AlgebraElement.zero()) for g in self.generators}
+        # What ``_word_differential`` reads per letter: degree parity and the
+        # D-terms, integral coefficients as int.  Built once; ``diff`` is not
+        # meant to change after construction.
+        self._letters = {
+            g.id: (
+                g.degree & 1,
+                tuple(
+                    (w, c.numerator if c.denominator == 1 else c)
+                    for w, c in self.diff[g.id].terms.items()
+                ),
+            )
+            for g in self.generators
+        }
         self.del_part = dict(del_part) if del_part is not None else None
         self.f_part = dict(f_part) if f_part is not None else None
         self.name = name
@@ -204,8 +214,8 @@ class DGA:
         return sum(self.gen(g).weight for g in word)
 
     def word_key(self, word: Word):
-        """Monomial order: (degree, length, word count, lex on ids)."""
-        return (self.word_degree(word), float(self.word_length(word)), len(word), word)
+        """Monomial order: (degree, exact length, letter count, lex on ids)."""
+        return (self.word_degree(word), self.word_length(word), len(word), word)
 
     @property
     def nonneg_graded(self) -> bool:
@@ -243,22 +253,29 @@ class DGA:
         return f"DGA({self.name or 'anonymous'}, {len(self.generators)} generators)"
 
 
-def _word_differential(dga: DGA, word: Word, out: dict, coeff: Fraction) -> None:
-    """Accumulate coeff * D(word) into ``out`` (word -> Fraction)."""
-    prefix_deg = 0
+def _word_differential(dga: DGA, word: Word, out: dict, coeff) -> None:
+    """Accumulate coeff * D(word) into ``out`` (word -> int or Fraction).
+
+    Coefficients stay ``int`` while ``coeff`` and the D-terms are integral.
+    """
+    letters = dga._letters
+    odd_prefix = 0
     for i, letter in enumerate(word):
-        dg = dga.diff[dga.gen(letter).id]
-        if dg.terms:
-            sign_coeff = -coeff if prefix_deg % 2 else coeff
+        try:
+            odd, terms = letters[letter]
+        except KeyError:
+            raise UnknownGenerator(letter) from None
+        if terms:
+            sign_coeff = -coeff if odd_prefix else coeff
             left, right = word[:i], word[i + 1 :]
-            for tw, tc in dg.terms.items():
+            for tw, tc in terms:
                 key = left + tw + right
-                val = out.get(key, Fraction(0)) + sign_coeff * tc
-                if val == 0:
-                    out.pop(key, None)
-                else:
+                val = out.get(key, 0) + sign_coeff * tc
+                if val:
                     out[key] = val
-        prefix_deg += dga.gen(letter).degree
+                else:
+                    out.pop(key, None)
+        odd_prefix ^= odd
 
 
 def differential(dga: DGA, x: AlgebraElement) -> AlgebraElement:
@@ -305,20 +322,9 @@ class LengthWindow:
         self.tolerance = tolerance
 
     def realizable_sums(self, dga: DGA) -> list[Surd]:
-        cap = self.bound + 1
-        seen = {Surd(0)}
-        frontier = [Surd(0)]
-        lengths = [g.length for g in dga.generators]
-        while frontier:
-            nxt = []
-            for base in frontier:
-                for ell in lengths:
-                    val = base + ell
-                    if val <= cap and val not in seen:
-                        seen.add(val)
-                        nxt.append(val)
-            frontier = nxt
-        return sorted(seen, key=float)
+        scaled, (pa, qa), n, denom = _scaled_lengths(dga, self)
+        spectrum = _spectrum(scaled, (pa + denom, qa), n, inclusive=True)
+        return [Surd(Fraction(p, denom), Fraction(q, denom), n) for p, q in spectrum]
 
     def ensure_valid(self, dga: DGA) -> None:
         a = float(self.bound)
@@ -338,10 +344,10 @@ class LengthWindow:
 def _scaled_lengths(dga: DGA, window: LengthWindow):
     """Integer-scaled (p, q) length data over the common radicand.
 
-    Word enumeration compares millions of partial sums against the bound;
-    doing that with integers instead of Fraction-backed surds is what makes
-    large windows affordable.  Returns (per-generator (P, Q), bound (PA, QA),
-    radicand n).
+    Word enumeration and window validation compare many sums against the
+    bound; doing that with integers instead of Fraction-backed surds is what
+    makes large windows affordable.  Returns (per-generator (P, Q), bound
+    (PA, QA), radicand n, common denominator).
     """
     values = [g.length for g in dga.generators] + [window.bound]
     n = 0
@@ -357,7 +363,7 @@ def _scaled_lengths(dga: DGA, window: LengthWindow):
     for g in dga.generators:
         scaled.append((int(g.length.p * denom), int(g.length.q * denom)))
     bound = (int(window.bound.p * denom), int(window.bound.q * denom))
-    return scaled, bound, n
+    return scaled, bound, n, denom
 
 
 def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
@@ -377,39 +383,77 @@ def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
     return lhs < rhs
 
 
+def _exact_order(n: int):
+    """Sort key ordering integer pairs (p, q) by the value p + q*sqrt(n)."""
+    return cmp_to_key(lambda x, y: -1 if _below_bound(*x, *y, n) else int(x != y))
+
+
+def _spectrum(steps, cap: tuple[int, int], n: int, inclusive: bool) -> list[tuple[int, int]]:
+    """Sums of ``steps`` (repeats and the empty sum allowed) below ``cap``, by value.
+
+    Breadth-first over integer (p, q) pairs; with ``inclusive`` a sum equal
+    to ``cap`` counts too.  Steps go by exact length, so the first step that
+    overshoots from a base ends that base's row.
+    """
+    by_length = _exact_order(n)
+    steps = sorted(set(steps), key=by_length)
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        nxt = []
+        for bp, bq in frontier:
+            for sp, sq in steps:
+                val = (bp + sp, bq + sq)
+                if not (_below_bound(*val, *cap, n) or inclusive and val == cap):
+                    break
+                if val not in seen:
+                    seen.add(val)
+                    nxt.append(val)
+        frontier = nxt
+    return sorted(seen, key=by_length)
+
+
 def _enumerate_words(
     dga: DGA, window: LengthWindow, degree: int | None, max_degree: int | None = None
 ) -> list[Word]:
     """All words below the window bound, optionally filtered to one degree.
 
-    Depth-first over appended letters, pruning by remaining length always
-    and, when the grading is nonnegative, by degree above ``degree`` (or
-    above ``max_degree`` when no single degree is asked for).  Output is
-    sorted in the canonical monomial order (degree, length, letter count,
-    lex).
+    Lengths are ranks in the exact, sorted spectrum of realizable sums below
+    the bound, and a table gives, per rank, the letters that keep a word
+    inside the window (by length, so a row ends at the first overshoot) with
+    the rank they lead to.  Depth-first over appended letters, pruning by
+    degree above ``degree`` (or above ``max_degree`` when no single degree is
+    asked for) when the grading is nonnegative.  Output is sorted in the
+    canonical monomial order (degree, exact length, letter count, lex).
     """
     cap = degree if degree is not None else max_degree
     if not dga.nonneg_graded:
         cap = None
-    scaled, (pa, qa), n = _scaled_lengths(dga, window)
-    gens = [
-        (g.id, g.degree, sp, sq, float(g.length))
-        for g, (sp, sq) in zip(dga.generators, scaled)
-    ]
+    scaled, bound, n, _ = _scaled_lengths(dga, window)
+    by_length = _exact_order(n)
+    spectrum = _spectrum(scaled, bound, n, inclusive=False)
+    rank = {s: r for r, s in enumerate(spectrum)}
+    gens = sorted(zip(scaled, dga.generators), key=lambda sg: by_length(sg[0]))
+    moves = []
+    for p, q in spectrum:
+        row = []
+        for (sp, sq), g in gens:
+            # A realizable sum is in the spectrum exactly when it is below the bound.
+            r = rank.get((p + sp, q + sq))
+            if r is None:
+                break
+            row.append((g.id, g.degree, r))
+        moves.append(row)
     out: list[tuple] = []
-    stack = [(UNIT, 0, 0, 0, 0.0)]
+    stack = [(UNIT, 0, 0)]  # rank 0 is the empty word's length
     while stack:
-        word, deg, lp, lq, lf = stack.pop()
+        word, deg, r = stack.pop()
         if degree is None or deg == degree:
-            out.append((deg, lf, len(word), word))
-        for gid, gdeg, sp, sq, gf in gens:
-            np_, nq = lp + sp, lq + sq
-            if not _below_bound(np_, nq, pa, qa, n):
-                continue
+            out.append((deg, r, len(word), word))
+        for gid, gdeg, nr in moves[r]:
             ndeg = deg + gdeg
-            if cap is not None and ndeg > cap:
-                continue
-            stack.append((word + (gid,), ndeg, np_, nq, lf + gf))
+            if cap is None or ndeg <= cap:
+                stack.append((word + (gid,), ndeg, nr))
     out.sort()
     # Strip the sort keys in place: a second list would raise peak memory.
     for k, item in enumerate(out):
@@ -425,60 +469,29 @@ def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list[Word]:
     return _enumerate_words(dga, window, degree)
 
 
-def _blockwise_rank(rows: list[dict]) -> int:
-    """Rank of a sparse row list, split over connected column blocks.
+def _diff_rows(dga: DGA, source: Iterable[Word], index: Mapping[Word, int]):
+    """Nonzero rows of D on ``source``, columns numbered by ``index``.
 
-    The differential of a word touches only a handful of neighbouring words,
-    so the matrix is block diagonal up to permutation; eliminating each
-    block separately keeps the work linear in practice.
+    Terms outside ``index`` cannot occur when it holds the whole target
+    degree of a valid window: the differential never increases length.
     """
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for row in rows:
-        cols = iter(row)
-        first = next(cols)
-        if first not in parent:
-            parent[first] = first
-        ra = find(first)
-        for c in cols:
-            if c not in parent:
-                parent[c] = c
-            rb = find(c)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict = {}
-    for row in rows:
-        key = find(next(iter(row)))
-        groups.setdefault(key, []).append(row)
-    total = 0
-    for block in groups.values():
-        red = RowReducer()
-        for row in block:
-            red.add(row)
-        total += red.rank
-    return total
+    for w in source:
+        img: dict = {}
+        _word_differential(dga, w, img, 1)
+        if img:
+            yield {index[ww]: c for ww, c in img.items()}
 
 
 def _diff_matrix_rank(dga: DGA, source: list[Word], target: list[Word]) -> int:
-    index = {w: i for i, w in enumerate(target)}
-    one = Fraction(1)
-    rows = []
-    for w in source:
-        img: dict = {}
-        _word_differential(dga, w, img, one)
-        if img:
-            # Terms outside the target basis cannot occur when the window is
-            # valid: the differential never increases length.
-            rows.append({index[ww]: c for ww, c in img.items()})
-    return _blockwise_rank(rows)
+    """Rank of D from ``source`` to ``target``, rows streamed into one reducer.
+
+    The matrix is block diagonal up to permutation, and a row only ever meets
+    pivots of its own block, so one reducer does the blockwise work.
+    """
+    red = RowReducer()
+    for row in _diff_rows(dga, source, {w: i for i, w in enumerate(target)}):
+        red.add(row)
+    return red.rank
 
 
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
@@ -501,9 +514,10 @@ def homology_dims_all(
     if wanted == []:
         return {}
     by_degree: dict[int, list[Word]] = {}
+    degree_of = {g.id: g.degree for g in dga.generators}
     # Enumeration is already canonically ordered; bucketing preserves it.
     for w in _enumerate_words(dga, window, None, wanted[-1] + 1 if wanted else None):
-        by_degree.setdefault(dga.word_degree(w), []).append(w)
+        by_degree.setdefault(sum(map(degree_of.__getitem__, w)), []).append(w)
     if wanted is None:
         wanted = sorted(by_degree)
     # ranks[p] is the rank of D from degree p to degree p - 1.
@@ -527,33 +541,17 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
     window.ensure_valid(dga)
-    basis0 = word_basis(dga, 0, window)
-    basis1 = word_basis(dga, 1, window)
-    # Order columns by decreasing letter count so that pivot counts in the
-    # "more than w letters" block give ranks of the projections.
-    order = {w: i for i, w in enumerate(sorted(basis0, key=lambda w: (-len(w), w)))}
+    basis0 = _enumerate_words(dga, window, 0)
+    # Columns by decreasing letter count, so that each pivot is the longest
+    # word of its row.
+    columns = sorted(basis0, key=lambda w: (-len(w), w))
+    index = {w: i for i, w in enumerate(columns)}
     red = RowReducer()
-    for w in basis1:
-        img = differential(dga, AlgebraElement.from_word(w))
-        if not img.is_zero():
-            red.add({order[ww]: c for ww, c in img.terms.items()})
-    total_rank = red.rank
-    pivot_words = sorted(order, key=order.get)
-    pivot_counts = [len(pivot_words[c]) for c in red.pivots]
-
-    def beyond(w: int) -> int:
-        return sum(1 for k in pivot_counts if k > w)
-
-    def ambient(w: int) -> int:
-        return sum(1 for word in basis0 if len(word) <= w)
-
-    dims = []
-    prev = 0
-    for w in range(wmax + 1):
-        f_w = ambient(w) - (total_rank - beyond(w))
-        dims.append(f_w - prev)
-        prev = f_w
-    return dims
+    for row in _diff_rows(dga, _enumerate_words(dga, window, 1), index):
+        red.add(row)
+    per_count = Counter(map(len, basis0))
+    sizes = [per_count[k] for k in range(wmax + 1)]
+    return quotient_slice_dims(sizes, (len(columns[c]) for c in red.pivots))
 
 
 # -- built-in algebras -----------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stringhom.exactlin import (
@@ -78,6 +78,44 @@ class TestRref:
             back.add(row)
         for row in m.row_dicts():
             assert back.contains(row)
+
+
+int_rows = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-4, 4).filter(bool), min_size=1, max_size=5),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestIntegerRows:
+    """``int`` entries stay ``int``; results equal those of the same rows as Fraction."""
+
+    @given(int_rows)
+    @example([{0: 2, 1: 1}, {0: -3, 2: 1}, {1: 2, 2: -3}])
+    @example([{3: -3, 5: 2}, {3: 2, 4: -3}, {4: 2, 5: 1}, {5: -3}])
+    @settings(max_examples=150, deadline=None)
+    def test_int_rows_match_fraction_rows(self, rows):
+        ints, fracs = RowReducer(), RowReducer()
+        for row in rows:
+            assert ints.add(row) == fracs.add({c: Fraction(v) for c, v in row.items()})
+        assert ints.rank == fracs.rank
+        assert ints.pivot_columns() == fracs.pivot_columns()
+        assert ints.reduced_rows() == fracs.reduced_rows()
+        for row in rows:
+            assert ints.contains(row)
+
+    def test_unit_leads_create_no_fraction(self):
+        red = RowReducer()
+        for row in ({0: -1, 1: 2, 3: 5}, {0: 1, 1: -1}, {2: -1, 3: 4}, {1: 1, 2: 1}):
+            red.add(row)
+        assert red.rank == 4
+        assert all(type(v) is int for row in red.pivots.values() for v in row.values())
+        assert all(type(v) is int for row in red.reduced_rows() for v in row.values())
+
+    def test_non_unit_lead_divides_exactly(self):
+        red = RowReducer()
+        red.add({0: -3, 1: 2})
+        assert red.pivots[0] == {0: 1, 1: Fraction(-2, 3)}
 
 
 class TestRank:
