@@ -12,14 +12,15 @@ q^0 ... q^nu with endpoints constrained to K, graded by the smoothed length
     L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r),
 
 whose critical points (as r -> 0) are exactly the binormal chords, traversed
-as straight equal-speed polygons.  The search runs in two phases per
-component pair: a multistart gradient descent of L_r down a decreasing
-r-schedule (each accepted step must not increase L_r nor the largest
-smoothed segment, mirroring the confinement property of the continuous
-flow), followed by a Gauss-Newton solve of the endpoint perpendicularity
-system, which also captures the saddle-type chords that pure descent
-cannot converge to.  Results are deduplicated by length, with endpoint
-clusters counted as a multiplicity hint for chord families.
+as straight equal-speed polygons.  ``descend`` is the flow model: gradient
+descent of L_r whose accepted steps never increase L_r nor the largest
+smoothed segment, mirroring the confinement property of the continuous flow.
+The spectrum search itself solves the endpoint perpendicularity system by
+Gauss-Newton from a fixed grid of endpoint pairs per component pair, which
+reaches minima and saddle-type chords alike; descending the seeds first finds
+no chord that this solve misses (``tests/chord_oracle.py`` checks it).
+Results are deduplicated by length, with endpoint clusters counted as a
+multiplicity hint for chord families.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ class Component:
         Shape (..., n, k-1): ambient pushforwards of a basis of u-perp,
         computed from the Householder map sending e1 to u.
         """
-        u = np.asarray(u, dtype=float)
-        basis = _perp_frame(u)
-        return np.einsum("nk,...kj->...nj", self.matrix, basis)
+        return self.matrix @ _perp_frame(u)
 
 
 def _perp_frame(u):
@@ -184,8 +183,6 @@ class ChordConfig:
     seeds_per_sphere: int = 36
     rng_seed: int = 0
     max_iter_per_stage: int = 40
-    descent_stage_tol: float = 1e-4
-    descent_seed_cap: int = 256
     gn_iterations: int = 40
 
     def __post_init__(self):
@@ -340,9 +337,8 @@ class _DescentState:
     """Batched projected gradient descent with monotone step acceptance.
 
     A step is accepted only if L_r strictly decreases and the largest
-    smoothed segment does not grow; both traces are therefore nonincreasing
-    along accepted steps by construction, and ``violations`` stays zero
-    unless that invariant is broken by a numerical fault.
+    smoothed segment does not grow, so both traces are nonincreasing along
+    accepted steps by construction.
     """
 
     def __init__(self, manifold, comp0, comp1, u0, u1, points):
@@ -353,7 +349,6 @@ class _DescentState:
         self.u1 = u1.copy()
         self.points = points.copy()
         self.step = np.full(len(points), 0.1)
-        self.violations = 0
 
     def run_stage(self, r, grad_tol, max_iter, history=None):
         c0 = self.manifold.components[self.comp0]
@@ -376,8 +371,6 @@ class _DescentState:
             new_points[:, -1, :] = c1.embed(new_u1)
             new_lr, new_f, _, _ = _batch_lr(new_points, r)
             accept = active & (new_lr < lr) & (new_f <= fmax)
-            if np.any(accept & ((new_lr > lr) | (new_f > fmax))):
-                self.violations += 1
             self.u0[accept] = new_u0[accept]
             self.u1[accept] = new_u1[accept]
             self.points[accept] = new_points[accept]
@@ -557,8 +550,11 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
     return u0, u1, resnorm, alive
 
 
-def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
-    """Endpoint candidates for one ordered component pair."""
+def _seed_grid(manifold, i, j, cfg: ChordConfig):
+    """All grid endpoint pairs (u0, u1) for one ordered component pair.
+
+    On a single component, pairs closer than eps_min are dropped.
+    """
     g0 = _component_grid(manifold.components[i], cfg)
     g1 = _component_grid(manifold.components[j], cfg)
     u0 = np.repeat(g0, len(g1), axis=0)
@@ -568,38 +564,23 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
             manifold.components[i].embed(u0) - manifold.components[j].embed(u1), axis=1
         ) > max(cfg.eps_min, 1e-3)
         u0, u1 = u0[keep], u1[keep]
+    return u0, u1
+
+
+def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
+    """Endpoint candidates for one ordered component pair.
+
+    Gauss-Newton on the criticality system from every grid seed: it
+    reaches minima and saddle-type chords alike.
+    """
+    u0, u1 = _seed_grid(manifold, i, j, cfg)
     if len(u0) == 0:
-        return np.zeros((0, g0.shape[1])), np.zeros((0, g1.shape[1])), np.zeros(0)
+        return u0, u1, np.zeros(0)
     diagnostics["seeds"] = diagnostics.get("seeds", 0) + len(u0)
-
-    # Phase 1: smoothed-length descent along the r-schedule (the flow model).
-    # The descent batch is capped by a deterministic stride: the Gauss-Newton
-    # phase below restarts from the full raw grid, so coverage does not
-    # depend on descending every seed.
-    stride = max(1, -(-len(u0) // cfg.descent_seed_cap))
-    d0, d1 = u0[::stride].copy(), u1[::stride].copy()
-    t = np.linspace(0.0, 1.0, cfg.nu + 1)[None, :, None]
-    p0 = manifold.components[i].embed(d0)
-    p1 = manifold.components[j].embed(d1)
-    points = (1 - t) * p0[:, None, :] + t * p1[:, None, :]
-    state = _DescentState(manifold, i, j, d0, d1, points)
-    # The Gauss-Newton phase supplies the final precision, so each descent
-    # stage only needs to settle to a loose tolerance.
-    stage_tol = max(cfg.grad_tol, cfg.descent_stage_tol)
-    for r in cfg.r_schedule:
-        state.run_stage(r, stage_tol, cfg.max_iter_per_stage)
-    diagnostics["descent_violations"] = (
-        diagnostics.get("descent_violations", 0) + state.violations
-    )
-
-    # Phase 2: Gauss-Newton criticality solve, from the raw grid (reaches
-    # saddle-type chords) and from the descended endpoints (polish).
-    cand0 = np.concatenate([u0, state.u0], axis=0)
-    cand1 = np.concatenate([u1, state.u1], axis=0)
-    out0, out1, resnorm, alive = _gauss_newton(manifold, i, j, cand0, cand1, cfg.gn_iterations)
+    out0, out1, resnorm, alive = _gauss_newton(manifold, i, j, u0, u1, cfg.gn_iterations)
     good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
-    diagnostics["converged"] = diagnostics.get("converged", 0) + int(np.sum(good[: len(u0)]))
-    diagnostics["failed"] = diagnostics.get("failed", 0) + int(np.sum(~good[: len(u0)]))
+    diagnostics["converged"] = diagnostics.get("converged", 0) + int(np.sum(good))
+    diagnostics["failed"] = diagnostics.get("failed", 0) + int(np.sum(~good))
     return out0[good], out1[good], resnorm[good]
 
 
@@ -638,8 +619,9 @@ def find_spectrum(
 ) -> list[ChordResult]:
     """Multistart search for all binormal chords below the length bound.
 
-    Runs every ordered component pair, rebuilds each converged chord as a
-    straight nu-segment path, filters by the residual and length windows,
+    Runs a Gauss-Newton criticality solve from the seed grid of every
+    ordered component pair, rebuilds each converged chord as a straight
+    nu-segment path, filters by the residual and length windows,
     and deduplicates by length (clustered endpoints are reported as the
     multiplicity).  Returns results sorted by length.
     """

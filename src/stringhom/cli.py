@@ -212,8 +212,7 @@ def cmd_chords(args) -> int:
         if near:
             print(f"warning: window bound {args.a} sits on the length spectrum {near}")
     rate = diagnostics.get("failure_rate", 0.0)
-    print(f"seeds {diagnostics.get('seeds', 0)}, failure rate {rate:.3f}, "
-          f"descent violations {diagnostics.get('descent_violations', 0)}")
+    print(f"seeds {diagnostics.get('seeds', 0)}, failure rate {rate:.3f}")
     outputs = []
     if args.json:
         report = {

@@ -8,8 +8,9 @@ entries as ``int`` while they stay integral (a lead of +-1 is normalised by
 negation) and moves to ``fractions.Fraction`` only when it divides by a
 lead that is not +-1; the built-in differentials never need it.
 
-Matrices store a ``(row, col) -> Fraction`` map with no explicit zeros; row
-vectors are plain ``{col: int or Fraction}`` dicts.  Reduced row echelon form is
+Matrices store a ``(row, col) -> int or Fraction`` map with no explicit zeros
+(``int`` entries stay ``int``, as in ``RowReducer``); row vectors are plain
+``{col: int or Fraction}`` dicts.  Reduced row echelon form is
 canonical for a given row space, which makes every basis produced here
 deterministic and reproducible regardless of input order.
 """
@@ -38,7 +39,7 @@ def as_fraction(x) -> Fraction:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q."""
+    """Immutable sparse matrix over Q; ``int`` entries are kept as ``int``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -51,7 +52,7 @@ class SparseMatrix:
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
-            v = as_fraction(v)
+            v = v if type(v) is int else as_fraction(v)
             if v != 0:
                 clean[(i, j)] = v
         self.entries = clean
@@ -61,15 +62,9 @@ class SparseMatrix:
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if data else 0
-        entries = {}
-        for i, r in enumerate(data):
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(r):
-                v = as_fraction(v)
-                if v != 0:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, {(i, j): v for i, r in enumerate(data) for j, v in enumerate(r)})
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -116,7 +111,7 @@ class SparseMatrix:
         for (i, k), v in self.entries.items():
             for j, w in cols_of_other[k].items():
                 key = (i, j)
-                entries[key] = entries.get(key, Fraction(0)) + v * w
+                entries[key] = entries.get(key, 0) + v * w
         return SparseMatrix(self.rows, other.cols, entries)
 
     def __eq__(self, other) -> bool:

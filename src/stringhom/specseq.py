@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from . import free_dga
@@ -209,10 +208,9 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
         for w in words
     ]
     entries: dict = {}
-    one = Fraction(1)
     for j, w in enumerate(words):
         img: dict = {}
-        free_dga._word_differential(dga, w, img, one)
+        free_dga._word_differential(dga, w, img, 1)
         for ww, c in img.items():
             entries[(index[ww], j)] = c
     boundary = SparseMatrix(len(words), len(words), entries)

@@ -177,8 +177,7 @@ class TestChords:
 
     def test_failure_threshold_exit_4(self, tmp_path, capsys, monkeypatch):
         def fake_find(manifold, cfg, diagnostics=None):
-            diagnostics.update({"seeds": 10, "failed": 5, "failure_rate": 0.5,
-                                "descent_violations": 0})
+            diagnostics.update({"seeds": 10, "failed": 5, "failure_rate": 0.5})
             return []
 
         monkeypatch.setattr(cli.chords, "find_spectrum", fake_find)

@@ -112,6 +112,14 @@ class TestIntegerRows:
         assert all(type(v) is int for row in red.pivots.values() for v in row.values())
         assert all(type(v) is int for row in red.reduced_rows() for v in row.values())
 
+    def test_sparse_matrix_keeps_int_entries(self):
+        m = SparseMatrix.from_rows([[1, Fraction(1, 2)], [0, -2]])
+        assert [type(m.entry(0, 0)), type(m.entry(0, 1)), type(m.entry(1, 1))] == [
+            int, Fraction, int
+        ]
+        assert type(SparseMatrix(1, 1, {(0, 0): "3"}).entry(0, 0)) is Fraction
+        assert m @ m == SparseMatrix.from_rows([[1, Fraction(-1, 2)], [0, 4]])
+
     def test_non_unit_lead_divides_exactly(self):
         red = RowReducer()
         red.add({0: -3, 1: 2})

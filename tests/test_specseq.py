@@ -101,6 +101,11 @@ class TestFromDga:
         assert fc.cells[fc.index["1"]].degree == 0
         assert fc.cells[fc.index["1"]].filtration == 0
 
+    def test_integral_boundary_stays_int(self):
+        fc = from_dga(free_dga.build_hopf(2), free_dga.LengthWindow(Fraction(9, 2)))
+        assert fc.boundary.entries
+        assert all(type(v) is int for v in fc.boundary.entries.values())
+
     def test_validation_rejects_bad_boundary(self):
         cells = [Cell("a", 1, 0), Cell("b", 0, 1)]
         bad = SparseMatrix(2, 2, {(1, 0): Fraction(1)})
