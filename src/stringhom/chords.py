@@ -19,24 +19,30 @@ The spectrum search itself solves the endpoint perpendicularity system by
 Gauss-Newton from a fixed grid of endpoint pairs per component pair, which
 reaches minima and saddle-type chords alike; descending the seeds first finds
 no chord that this solve misses (``tests/chord_oracle.py`` checks it).
-Results are deduplicated by length, with endpoint clusters counted as a
-multiplicity hint for chord families.
+Each Gauss-Newton step builds the endpoint frames once and reuses them for
+the residual, every finite-difference column and the step.  Results are
+deduplicated by length, with endpoint clusters counted as a multiplicity
+hint for chord families; the count is greedy in length order and finds
+nearby representatives through a grid of cells of the dedup tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import floor
 from typing import Iterable
 
 import numpy as np
+
+from . import free_dga
 
 
 class ChordError(Exception):
     pass
 
 
-class ParameterOutOfRange(ChordError):
-    pass
+class ParameterOutOfRange(ChordError, free_dga.ParameterOutOfRange):
+    """Also a ``free_dga.ParameterOutOfRange``: one type for every bad parameter."""
 
 
 class DegenerateSegment(ChordError):
@@ -88,8 +94,9 @@ def _perp_frame(u):
     nrm2 = np.sum(v * v, axis=-1)
     degenerate = nrm2 < 1e-24
     safe = np.where(degenerate, 1.0, nrm2)
-    frame = np.broadcast_to(np.eye(k)[:, 1:], u.shape[:-1] + (k, k - 1)).copy()
-    frame -= 2.0 * v[..., :, None] * (v[..., None, 1:] / safe[..., None, None])
+    frame = 2.0 * v[..., :, None] * (v[..., None, 1:] / safe[..., None, None])
+    # eye - frame in place: the same subtraction, one frame-sized temporary less.
+    np.subtract(np.eye(k)[:, 1:], frame, out=frame)
     if np.any(degenerate):
         frame[degenerate] = np.eye(k)[:, 1:]
     return frame
@@ -476,12 +483,26 @@ def _component_grid(comp: Component, cfg: ChordConfig):
     return _normalize(rng.standard_normal((cfg.seeds_per_sphere, k)))
 
 
+def _perp_residual(p0, tan0, p1, tan1):
+    """Inner products of the unit chord p0 -> p1 with both tangent frames."""
+    chord = p1 - p0
+    dist = np.linalg.norm(chord, axis=1)
+    ok = dist > 1e-9
+    dirs = chord / np.where(ok, dist, 1.0)[:, None]
+    r0 = np.einsum("sn,snj->sj", dirs, tan0)
+    r1 = np.einsum("sn,snj->sj", dirs, tan1)
+    return np.concatenate([r0, r1], axis=1), ok
+
+
 def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
     """Batched Gauss-Newton on the endpoint perpendicularity system.
 
     Variables are tangent coordinates of (u0, u1); residuals are the inner
     products of the unit chord direction with the tangent frames at both
     ends.  Square system: (k0-1)+(k1-1) equations in as many unknowns.
+    Each step builds the frames at both current endpoints once; the base
+    residual, the unperturbed end of every finite-difference column and the
+    step directions all reuse them.
     """
     c0 = manifold.components[comp0]
     c1 = manifold.components[comp1]
@@ -492,43 +513,34 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
     u1 = u1.copy()
     alive = np.ones(len(u0), dtype=bool)
 
-    def residual(a0, a1):
-        p0 = c0.embed(a0)
-        p1 = c1.embed(a1)
-        chord = p1 - p0
-        dist = np.linalg.norm(chord, axis=1)
-        ok = dist > 1e-9
-        dirs = chord / np.where(ok, dist, 1.0)[:, None]
-        f0 = c0.tangent_frame(a0)
-        f1 = c1.tangent_frame(a1)
-        r0 = np.einsum("sn,snj->sj", dirs, f0)
-        r1 = np.einsum("sn,snj->sj", dirs, f1)
-        return np.concatenate([r0, r1], axis=1), ok
-
     h = 1e-7
     work = np.arange(len(u0))
     for _ in range(iterations):
-        res, ok = residual(u0[work], u1[work])
+        w0, w1 = u0[work], u1[work]
+        f0, f1 = _perp_frame(w0), _perp_frame(w1)
+        p0, tan0 = c0.embed(w0), c0.matrix @ f0
+        p1, tan1 = c1.embed(w1), c1.matrix @ f1
+        res, ok = _perp_residual(p0, tan0, p1, tan1)
         alive[work] &= ok
         # Freeze seeds that are done (or dead) and compact the batch.
         resnorm_w = np.max(np.abs(res), axis=1)
         busy = alive[work] & (resnorm_w > 1e-14)
         if not np.any(busy):
             break
-        work = work[busy]
-        res = res[busy]
-        w0, w1 = u0[work], u1[work]
+        if not np.all(busy):
+            work, res = work[busy], res[busy]
+            w0, w1 = w0[busy], w1[busy]
+            f0, f1 = f0[busy], f1[busy]
+            p0, p1 = p0[busy], p1[busy]
+            tan0, tan1 = tan0[busy], tan1[busy]
         jac = np.empty((len(work), m, m))
-        f0 = _perp_frame(w0)
-        f1 = _perp_frame(w1)
         for col in range(m):
             if col < t0:
-                pert0 = _normalize(w0 + h * f0[:, :, col])
-                pert1 = w1
+                pert = _normalize(w0 + h * f0[:, :, col])
+                res_p, _ = _perp_residual(c0.embed(pert), c0.tangent_frame(pert), p1, tan1)
             else:
-                pert0 = w0
-                pert1 = _normalize(w1 + h * f1[:, :, col - t0])
-            res_p, _ = residual(pert0, pert1)
+                pert = _normalize(w1 + h * f1[:, :, col - t0])
+                res_p, _ = _perp_residual(p0, tan0, c1.embed(pert), c1.tangent_frame(pert))
             jac[:, :, col] = (res_p - res) / h
         jtj = np.einsum("sij,sik->sjk", jac, jac)
         jtr = np.einsum("sij,si->sj", jac, res)
@@ -544,7 +556,9 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
         step1 = np.einsum("skj,sj->sk", f1, delta[:, t0:])
         u0[work] = _normalize(w0 + step0)
         u1[work] = _normalize(w1 + step1)
-    res, ok = residual(u0, u1)
+    res, ok = _perp_residual(
+        c0.embed(u0), c0.tangent_frame(u0), c1.embed(u1), c1.tangent_frame(u1)
+    )
     alive &= ok
     resnorm = np.max(np.abs(res), axis=1)
     return u0, u1, resnorm, alive
@@ -584,32 +598,34 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
     return out0[good], out1[good], resnorm[good]
 
 
-_REP_BLOCK = 64
-
-
 def _count_distinct(keys: Iterable[np.ndarray], tol: float) -> int:
     """Greedy count of representatives among endpoint keys, in order.
 
     A key becomes a new representative unless it lies within ``tol`` (max
-    norm) of an earlier representative of the same length; keys from
-    component pairs of different dimension never match.  Representatives
-    are stacked in blocks of ``_REP_BLOCK`` rows and each key is tested
-    against a whole block in one vectorised step; small fixed blocks keep
-    the temporaries of that test, and so the peak memory, small.
+    norm, strict) of an earlier representative of the same length; keys
+    from component pairs of different dimension never match.  Keys are
+    finite and have at least two coordinates.  Representatives are bucketed
+    by (key length, floor(x0 / tol), floor(x1 / tol)), and a key is tested
+    only against the cells that the open intervals (x - tol, x + tol) of its
+    first two coordinates reach: rounding is monotone, so no representative
+    within ``tol`` lies elsewhere.  Those are the 3 x 3 neighbouring cells,
+    rarely one more row or column.
     """
-    reps: dict[int, list] = {}  # key length -> [blocks, rows used in the last block]
+    cells: dict[tuple, list] = {}
     count = 0
     for key in keys:
-        slot = reps.setdefault(len(key), [[], _REP_BLOCK])
-        blocks, used = slot
-        stacks = blocks[:-1] + [blocks[-1][:used]] if blocks else []
-        if any(np.any(np.max(np.abs(s - key), axis=1) < tol) for s in stacks):
+        x = key.tolist()
+        n = len(x)
+        rows = range(floor((x[0] - tol) / tol), floor((x[0] + tol) / tol) + 1)
+        cols = range(floor((x[1] - tol) / tol), floor((x[1] + tol) / tol) + 1)
+        if any(
+            max(abs(a - b) for a, b in zip(rep, x)) < tol
+            for r in rows
+            for c in cols
+            for rep in cells.get((n, r, c), ())
+        ):
             continue
-        if used == _REP_BLOCK:
-            blocks.append(np.empty((_REP_BLOCK, len(key))))
-            used = 0
-        blocks[-1][used] = key
-        slot[1] = used + 1
+        cells.setdefault((n, floor(x[0] / tol), floor(x[1] / tol)), []).append(x)
         count += 1
     return count
 
@@ -622,8 +638,11 @@ def find_spectrum(
     Runs a Gauss-Newton criticality solve from the seed grid of every
     ordered component pair, rebuilds each converged chord as a straight
     nu-segment path, filters by the residual and length windows,
-    and deduplicates by length (clustered endpoints are reported as the
-    multiplicity).  Returns results sorted by length.
+    and deduplicates by length.  The multiplicity of a length is the number
+    of endpoint clusters among its candidates: a greedy pass in length
+    order keeps a candidate unless its endpoints lie within
+    ``cfg.dedup_pt_tol`` of a kept one, looked up in grid cells of that
+    size (``_count_distinct``).  Returns results sorted by length.
     """
     diagnostics = diagnostics if diagnostics is not None else {}
     bound, b0, eps_g = cfg.resolved_bounds()

@@ -7,7 +7,8 @@ output paths) into the output directory.  Exit codes: 0 ok, 2 invalid
 length window, 3 malformed DGA input, 4 chord search failure rate over the
 threshold, 5 cord truncation instability, 6 parameter out of range or not
 applicable to the input.  Each error exit prints one ``error:`` line on
-stderr; the mapping is the ``ERRORS`` table.
+stderr; the mapping is the ``ERRORS`` table.  Only ``chords`` imports the
+floating-point chord solver, and with it numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, chords, cord, free_dga, specseq
+from . import __version__, cord, free_dga, specseq
 
 EXIT_OK = 0
 EXIT_WINDOW = 2
@@ -32,12 +31,13 @@ EXIT_TRUNCATION = 5
 EXIT_PARAMETER = 6
 
 # Exception types to (exit code, message prefix); the first match wins.
+# ``chords.ParameterOutOfRange`` subclasses ``free_dga.ParameterOutOfRange``.
 ERRORS = (
     ((free_dga.WindowCollision,), EXIT_WINDOW, "invalid length window"),
     ((free_dga.InvalidDGA, free_dga.UnknownGenerator), EXIT_INVALID_DGA, "invalid DGA"),
     (
         (free_dga.ParameterOutOfRange, free_dga.NotApplicable, free_dga.GradingViolation,
-         chords.ParameterOutOfRange, cord.BoundExceeded),
+         cord.BoundExceeded),
         EXIT_PARAMETER,
         "bad parameter",
     ),
@@ -57,14 +57,13 @@ def _outdir(args) -> str:
 
 
 def _write_manifest(args, command: str, parameters: dict, outputs: list[str], t0: float):
+    versions = {"stringhom": __version__, "python": sys.version.split()[0]}
+    if "numpy" in sys.modules:
+        versions["numpy"] = sys.modules["numpy"].__version__
     manifest = {
         "command": command,
         "parameters": parameters,
-        "versions": {
-            "stringhom": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "versions": versions,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
@@ -182,6 +181,8 @@ def cmd_distinguish(args) -> int:
 
 def cmd_chords(args) -> int:
     t0 = time.time()
+    from . import chords
+
     if args.builtin == "single":
         manifold = chords.single_sphere(args.d)
     else:

@@ -305,34 +305,30 @@ def d_squared_zero_check(dga: DGA) -> tuple[bool, tuple[str, AlgebraElement] | N
 
 # -- length windows --------------------------------------------------------
 
-WINDOW_TOLERANCE = 1e-9
-
 
 class LengthWindow:
     """Upper length bound a, required to avoid realizable word lengths.
 
-    ``ensure_valid`` enumerates every achievable sum of generator lengths
-    below a + 1 and rejects bounds closer than ``tolerance`` to any of them.
+    ``ensure_valid`` rejects a bound that equals, exactly, a sum of
+    generator lengths (repeats allowed); any other bound is valid, however
+    close it comes to such a sum.
     """
 
-    def __init__(self, bound, tolerance: float = WINDOW_TOLERANCE):
+    def __init__(self, bound):
         self.bound = Surd.of(Fraction(bound) if not isinstance(bound, Surd) else bound)
         if self.bound.sign() <= 0:
             raise WindowCollision("window bound must be positive")
-        self.tolerance = tolerance
 
     def realizable_sums(self, dga: DGA) -> list[Surd]:
+        """Every sum of generator lengths up to a + 1, in exact order."""
         scaled, (pa, qa), n, denom = _scaled_lengths(dga, self)
         spectrum = _spectrum(scaled, (pa + denom, qa), n, inclusive=True)
         return [Surd(Fraction(p, denom), Fraction(q, denom), n) for p, q in spectrum]
 
     def ensure_valid(self, dga: DGA) -> None:
-        a = float(self.bound)
-        for val in self.realizable_sums(dga):
-            if abs(float(val) - a) < self.tolerance:
-                raise WindowCollision(
-                    f"window {self.bound} collides with realizable length {val}"
-                )
+        scaled, bound, n, _ = _scaled_lengths(dga, self)
+        if bound in _spectrum(scaled, bound, n, inclusive=True):
+            raise WindowCollision(f"window {self.bound} is a realizable length")
 
     def admits(self, length: Surd) -> bool:
         return (length - self.bound).sign() < 0

@@ -1,19 +1,30 @@
-"""Descent-then-polish chord search, kept as a test oracle.
+"""Earlier forms of the chord search, kept as test oracles.
 
-The spectrum search once ran this phase before its Gauss-Newton solve:
-a strided subset of the seed grid (at most ``DESCENT_SEED_CAP`` seeds per
-ordered component pair) descends L_r down ``cfg.r_schedule`` with
-``cfg.max_iter_per_stage`` iterations per stage, each stage settling to
-``DESCENT_STAGE_TOL``; the descended endpoints are then polished by
+``descent_search``: the spectrum search once ran this phase before its
+Gauss-Newton solve: a strided subset of the seed grid (at most
+``DESCENT_SEED_CAP`` seeds per ordered component pair) descends L_r down
+``cfg.r_schedule`` with ``cfg.max_iter_per_stage`` iterations per stage,
+each stage settling to ``DESCENT_STAGE_TOL``; the descended endpoints are then polished by
 Gauss-Newton and filtered by the search's length window.  It found no
 chord that Gauss-Newton from the raw grid misses, so the search no longer
 runs it; the oracle keeps the claim checked, and exercises the batched
 flow on the acceptance configurations.
+
+``_gauss_newton`` and ``_count_distinct``: the solver and the multiplicity
+count as they were before the search stopped rebuilding tangent frames
+inside each Jacobian column and bucketed its representatives by grid cell.
+They are verbatim copies, with the Householder frame (``_perp_frame``)
+copied too and reached through ``_tangent_frame``, so that the tests can
+require the search to reproduce their every float and count.
 """
+
+from typing import Iterable
 
 import numpy as np
 
 from stringhom import chords
+
+_normalize = chords._normalize
 
 DESCENT_SEED_CAP = 256
 DESCENT_STAGE_TOL = 1e-4
@@ -56,3 +67,131 @@ def descent_search(manifold, cfg):
             keep = (lens >= cfg.eps_min) & (lens < min(bound, b0)) & (lens / cfg.nu < eps_g)
             lengths.extend(float(x) for x in lens[keep])
     return lengths, stages
+
+
+# -- the solver and the multiplicity count, before frame reuse and buckets ----
+
+
+def _perp_frame(u):
+    """Orthonormal basis of u-perp for batched unit vectors u (..., k)."""
+    u = np.asarray(u, dtype=float)
+    k = u.shape[-1]
+    v = u.copy()
+    v[..., 0] -= 1.0
+    nrm2 = np.sum(v * v, axis=-1)
+    degenerate = nrm2 < 1e-24
+    safe = np.where(degenerate, 1.0, nrm2)
+    frame = np.broadcast_to(np.eye(k)[:, 1:], u.shape[:-1] + (k, k - 1)).copy()
+    frame -= 2.0 * v[..., :, None] * (v[..., None, 1:] / safe[..., None, None])
+    if np.any(degenerate):
+        frame[degenerate] = np.eye(k)[:, 1:]
+    return frame
+
+
+def _tangent_frame(comp, u):
+    return comp.matrix @ _perp_frame(u)
+
+
+def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
+    """Batched Gauss-Newton on the endpoint perpendicularity system.
+
+    Variables are tangent coordinates of (u0, u1); residuals are the inner
+    products of the unit chord direction with the tangent frames at both
+    ends.  Square system: (k0-1)+(k1-1) equations in as many unknowns.
+    """
+    c0 = manifold.components[comp0]
+    c1 = manifold.components[comp1]
+    t0 = c0.param_dim - 1
+    t1 = c1.param_dim - 1
+    m = t0 + t1
+    u0 = u0.copy()
+    u1 = u1.copy()
+    alive = np.ones(len(u0), dtype=bool)
+
+    def residual(a0, a1):
+        p0 = c0.embed(a0)
+        p1 = c1.embed(a1)
+        chord = p1 - p0
+        dist = np.linalg.norm(chord, axis=1)
+        ok = dist > 1e-9
+        dirs = chord / np.where(ok, dist, 1.0)[:, None]
+        f0 = _tangent_frame(c0, a0)
+        f1 = _tangent_frame(c1, a1)
+        r0 = np.einsum("sn,snj->sj", dirs, f0)
+        r1 = np.einsum("sn,snj->sj", dirs, f1)
+        return np.concatenate([r0, r1], axis=1), ok
+
+    h = 1e-7
+    work = np.arange(len(u0))
+    for _ in range(iterations):
+        res, ok = residual(u0[work], u1[work])
+        alive[work] &= ok
+        # Freeze seeds that are done (or dead) and compact the batch.
+        resnorm_w = np.max(np.abs(res), axis=1)
+        busy = alive[work] & (resnorm_w > 1e-14)
+        if not np.any(busy):
+            break
+        work = work[busy]
+        res = res[busy]
+        w0, w1 = u0[work], u1[work]
+        jac = np.empty((len(work), m, m))
+        f0 = _perp_frame(w0)
+        f1 = _perp_frame(w1)
+        for col in range(m):
+            if col < t0:
+                pert0 = _normalize(w0 + h * f0[:, :, col])
+                pert1 = w1
+            else:
+                pert0 = w0
+                pert1 = _normalize(w1 + h * f1[:, :, col - t0])
+            res_p, _ = residual(pert0, pert1)
+            jac[:, :, col] = (res_p - res) / h
+        jtj = np.einsum("sij,sik->sjk", jac, jac)
+        jtr = np.einsum("sij,si->sj", jac, res)
+        jtj += 1e-12 * np.eye(m)
+        try:
+            delta = -np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            delta = -np.stack(
+                [np.linalg.lstsq(jtj[s], jtr[s], rcond=None)[0] for s in range(len(work))]
+            )
+        delta = np.clip(delta, -0.5, 0.5)
+        step0 = np.einsum("skj,sj->sk", f0, delta[:, :t0])
+        step1 = np.einsum("skj,sj->sk", f1, delta[:, t0:])
+        u0[work] = _normalize(w0 + step0)
+        u1[work] = _normalize(w1 + step1)
+    res, ok = residual(u0, u1)
+    alive &= ok
+    resnorm = np.max(np.abs(res), axis=1)
+    return u0, u1, resnorm, alive
+
+
+_REP_BLOCK = 64
+
+
+def _count_distinct(keys: Iterable[np.ndarray], tol: float) -> int:
+    """Greedy count of representatives among endpoint keys, in order.
+
+    A key becomes a new representative unless it lies within ``tol`` (max
+    norm) of an earlier representative of the same length; keys from
+    component pairs of different dimension never match.  Representatives
+    are stacked in blocks of ``_REP_BLOCK`` rows and each key is tested
+    against a whole block in one vectorised step; small fixed blocks keep
+    the temporaries of that test, and so the peak memory, small.
+    """
+    reps: dict[int, list] = {}  # key length -> [blocks, rows used in the last block]
+    count = 0
+    for key in keys:
+        slot = reps.setdefault(len(key), [[], _REP_BLOCK])
+        blocks, used = slot
+        stacks = blocks[:-1] + [blocks[-1][:used]] if blocks else []
+        if any(np.any(np.max(np.abs(s - key), axis=1) < tol) for s in stacks):
+            continue
+        if used == _REP_BLOCK:
+            blocks.append(np.empty((_REP_BLOCK, len(key))))
+            used = 0
+        blocks[-1][used] = key
+        slot[1] = used + 1
+        count += 1
+    return count
+

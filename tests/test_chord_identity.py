@@ -1,0 +1,198 @@
+"""The chord search reproduces its earlier form bit for bit.
+
+``chord_oracle`` keeps verbatim copies of the Gauss-Newton solver and of the
+multiplicity count from before the search reused its endpoint frames and
+bucketed its representatives.  Every float and count of the search must stay
+the same: the reported component pair of a length follows last-ulp
+differences between Gauss-Newton results.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chord_oracle
+from stringhom import chords
+
+
+def _random_link(d: int, seed: int) -> chords.ParamSubmanifold:
+    """Two unit (d-1)-spheres with random orthonormal frames and offsets."""
+    rng = np.random.default_rng(seed)
+    n = 2 * d - 1
+    comps = []
+    for c in range(2):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        comps.append(chords.Component(q[:, :d], 1.5 * rng.standard_normal(n), f"R{c}"))
+    return chords.ParamSubmanifold(comps)
+
+
+MANIFOLDS = {
+    "hopf2": lambda: chords.builtin_config("hopf", 2),
+    "unlink2": lambda: chords.builtin_config("unlink", 2, 3.0),
+    "hopf3": lambda: chords.builtin_config("hopf", 3),
+    "single2": lambda: chords.single_sphere(2),
+    "single3": lambda: chords.single_sphere(3),
+    "random4": lambda: _random_link(4, 5),
+}
+
+# (manifold, length bound): bounds drawn as the benchmark draws them, the
+# acceptance searches of criteria 7 and 9, and unbounded searches.
+CASES = {
+    "bench_hopf2": ("hopf2", 3.77),
+    "bench_unlink2": ("unlink2", 4.55),
+    "bench_hopf3": ("hopf3", 3.21),
+    "acceptance_hopf2": ("hopf2", 3.5),
+    "acceptance_unlink2": ("unlink2", 4.0),
+    "acceptance_hopf3": ("hopf3", 3.5),
+    "single2": ("single2", None),
+    "single3": ("single3", None),
+    "random4": ("random4", None),
+}
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """Oracle solver results, shared by the cases that use one manifold."""
+    return {}
+
+
+def _search(name, bound, gauss_newton, count_distinct, monkeypatch):
+    """find_spectrum with the given solver and count; also the solver's calls."""
+    calls = []
+
+    def recording(manifold, i, j, u0, u1, iterations):
+        out = gauss_newton(manifold, i, j, u0, u1, iterations)
+        calls.append(((i, j), u0, u1, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(chords, "_gauss_newton", recording)
+        m.setattr(chords, "_count_distinct", count_distinct)
+        results = chords.find_spectrum(MANIFOLDS[name](), chords.ChordConfig(length_bound=bound))
+    return results, calls
+
+
+def _oracle_solver(name, cache):
+    """The oracle solver, run once per manifold and ordered component pair."""
+
+    def solve(manifold, i, j, u0, u1, iterations):
+        key = (name, i, j, iterations)
+        if key not in cache:
+            cache[key] = (u0, u1, chord_oracle._gauss_newton(manifold, i, j, u0, u1, iterations))
+        seed0, seed1, out = cache[key]
+        assert np.array_equal(seed0, u0) and np.array_equal(seed1, u1)
+        return tuple(a.copy() for a in out)
+
+    return solve
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_search_is_bit_identical(case, oracle_runs, monkeypatch):
+    name, bound = CASES[case]
+    got, got_calls = _search(name, bound, chords._gauss_newton, chords._count_distinct,
+                             monkeypatch)
+    want, want_calls = _search(name, bound, _oracle_solver(name, oracle_runs),
+                               chord_oracle._count_distinct, monkeypatch)
+    ncomp = len(MANIFOLDS[name]().components)
+    pairs = [(i, j) for i in range(ncomp) for j in range(ncomp)]
+    assert [c[0] for c in got_calls] == [c[0] for c in want_calls] == pairs
+    # Gauss-Newton: u0, u1, residual norm and alive flags, every bit.
+    for (pair, u0, u1, out), (_, v0, v1, ref) in zip(got_calls, want_calls):
+        assert np.array_equal(u0, v0) and np.array_equal(u1, v1), pair
+        for a, b in zip(out, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), pair
+    assert got, case
+    assert len(got) == len(want)
+    for r, s in zip(got, want):
+        assert (r.length, r.comp_source, r.comp_target, r.residual, r.multiplicity) == (
+            s.length, s.comp_source, s.comp_target, s.residual, s.multiplicity
+        )
+        assert np.array_equal(r.u0, s.u0) and np.array_equal(r.u1, s.u1)
+        assert np.array_equal(r.points, s.points)
+
+
+def test_perp_frame_matches_oracle():
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 4):
+        u = rng.standard_normal((50, k))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u[0] = np.eye(k)[0]  # the degenerate Householder case
+        assert np.array_equal(chords._perp_frame(u), chord_oracle._perp_frame(u))
+        assert np.array_equal(chords._perp_frame(u[1]), chord_oracle._perp_frame(u[1]))
+
+
+# -- the bucketed multiplicity count at cell boundaries -----------------------
+
+
+def _both_counts(keys, tol):
+    keys = [np.asarray(k, dtype=float) for k in keys]
+    return chords._count_distinct(keys, tol), chord_oracle._count_distinct(keys, tol)
+
+
+def test_keys_on_exact_multiples_of_tol():
+    # tol = 1/4 is exact: lattice neighbours sit exactly tol apart and stay
+    # distinct.  tol = 0.05 is not: k * tol rounds, and some neighbours in
+    # the float lattice are closer than tol.
+    for tol in (0.25, 0.05):
+        keys = [
+            [a * tol, b * tol, 0.0, 0.0]
+            for a in range(-4, 5)
+            for b in range(-4, 5)
+        ]
+        new, old = _both_counts(keys, tol)
+        assert new == old
+    assert _both_counts([[a * 0.25, 0.0, 0.0, 0.0] for a in range(-4, 5)], 0.25) == (9, 9)
+
+
+def test_negative_coordinates():
+    tol = 0.05
+    keys = [[-0.999, -0.001, 0.5, 0.5], [-0.951, 0.03, 0.5, 0.5], [-1.0, -0.049, 0.5, 0.5],
+            [-0.001, -0.999, 0.1, 0.1], [0.001, -0.97, 0.1, 0.12], [-0.06, -1.0, 0.1, 0.1]]
+    new, old = _both_counts(keys, tol)
+    assert new == old == 3
+
+
+def test_pairs_at_distance_exactly_tol():
+    tol = 0.25
+    base = [-0.5, 0.75, 0.0, 0.0]
+    for axis in range(4):
+        other = list(base)
+        other[axis] += tol
+        assert _both_counts([base, other], tol) == (2, 2)
+        other[axis] = math.nextafter(other[axis], base[axis])
+        assert _both_counts([base, other], tol) == (1, 1)
+
+
+def test_mixed_key_lengths_share_cells():
+    keys = [[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+            [0.11, 0.2, 0.3, 0.4], [0.1, 0.21, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5, 0.9]]
+    assert _both_counts(keys, 0.05) == (4, 4)
+
+
+_near_multiple = st.tuples(
+    st.integers(-40, 40), st.sampled_from((-2, -1, 0, 1, 2))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tol=st.sampled_from((0.25, 0.05, 1e-3, 0.3)),
+    keys=st.lists(
+        st.tuples(st.sampled_from((4, 5, 6)), st.lists(_near_multiple, min_size=6, max_size=6)),
+        min_size=1, max_size=40,
+    ),
+)
+def test_keys_within_ulps_of_cell_edges(tol, keys):
+    """Coordinates a few ulps from multiples of tol: the count never changes."""
+
+    def coord(k, ulps):
+        x = k * tol
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    arrays = [[coord(k, u) for k, u in coords[:n]] for n, coords in keys]
+    new, old = _both_counts(arrays, tol)
+    assert new == old

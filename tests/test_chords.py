@@ -384,9 +384,9 @@ def test_count_distinct_matches_pairwise_loop(seed):
     rng = np.random.default_rng(seed)
     tol = 1e-3
     # Key lengths 4, 5, 6: circle/circle, circle/sphere, sphere/sphere pairs.
-    # Centres per length, from a few to more than one block of
-    # representatives, jittered so that some neighbours lie within tol of
-    # each other and some do not.
+    # Centres per length, from a few to about a hundred representatives,
+    # jittered so that some neighbours lie within tol of each other and
+    # some do not.
     centres = [rng.normal(size=dim) for dim in (4, 5, 6) for _ in range(3 + 30 * (seed % 4))]
     keys = [
         centres[k] + rng.uniform(-0.6, 0.6, size=len(centres[k])) * tol

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from stringhom import cli, free_dga
+import stringhom
+from stringhom import chords, cli, free_dga
 
 
 def run(argv, capsys):
@@ -162,6 +166,8 @@ class TestChords:
         lines = (tmp_path / "chords.csv").read_text().strip().splitlines()
         assert lines[0].startswith("length,")
         assert len(lines) == 4
+        manifest = json.loads((tmp_path / "manifest_chords.json").read_text())
+        assert manifest["versions"]["numpy"]
 
     def test_unlink_spectrum(self, tmp_path, capsys):
         code, out, _ = run(
@@ -180,7 +186,7 @@ class TestChords:
             diagnostics.update({"seeds": 10, "failed": 5, "failure_rate": 0.5})
             return []
 
-        monkeypatch.setattr(cli.chords, "find_spectrum", fake_find)
+        monkeypatch.setattr(chords, "find_spectrum", fake_find)
         code, _, err = run(
             ["chords", "--builtin", "hopf", "--d", "2", "--a", "3.5",
              "--outdir", str(tmp_path)],
@@ -240,6 +246,10 @@ class TestErrorExits:
                          6, tmp_path, capsys)
         assert "d must be at least 2" in err
 
+    def test_chords_d1_exit_6(self, tmp_path, capsys):
+        err = self.check(["chords", "--builtin", "hopf", "--d", "1"], 6, tmp_path, capsys)
+        assert "d must be at least 2" in err
+
     def test_unlink_chords_without_z2star_exit_6(self, tmp_path, capsys):
         err = self.check(["chords", "--builtin", "unlink", "--d", "2"], 6, tmp_path, capsys)
         assert "z2star" in err
@@ -269,3 +279,36 @@ class TestErrorExits:
         err = self.check(["dga-homology", "--spec", str(spec), "--degree", "0", "--a", "6.5"],
                          3, tmp_path, capsys)
         assert "C1_00" in err
+
+
+# Runs the exact subcommands in a fresh interpreter, then fails if numpy was
+# imported or recorded in a manifest.
+_EXACT_ONLY = """
+import contextlib, io, json, os, sys
+from stringhom import cli
+out = sys.argv[1]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--outdir", out]) == 0, argv
+assert "numpy" not in sys.modules, "numpy imported"
+for name in os.listdir(out):
+    with open(os.path.join(out, name)) as fh:
+        assert "numpy" not in json.load(fh)["versions"], name
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy(tmp_path):
+    commands = [
+        ["dga-homology", "--builtin", "hopf", "--d", "2", "--a", "3.5", "--degree", "0"],
+        ["specseq", "--builtin", "hopf", "--d", "2", "--a", "3.5", "--rmax", "1"],
+        ["distinguish", "--d", "2", "--wmax", "2"],
+        ["cord", "--builtin", "hopf_link", "--wmax", "2", "--compare"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_ONLY, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(os.listdir(tmp_path)) == len(commands)

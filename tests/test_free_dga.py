@@ -204,6 +204,18 @@ class TestWindows:
         with pytest.raises(WindowCollision):
             bad.ensure_valid(dga)
 
+    def test_exact_collision_rejected(self, hopf2):
+        with pytest.raises(WindowCollision):
+            LengthWindow(Fraction(6)).ensure_valid(hopf2)
+
+    def test_bound_just_below_a_sum_accepted(self, hopf2):
+        LengthWindow(Fraction(6) - Fraction(1, 10**12)).ensure_valid(hopf2)
+        LengthWindow(Fraction(6) + Fraction(1, 10**12)).ensure_valid(hopf2)
+
+    def test_irrational_bound_near_a_sum_accepted(self):
+        dga = build_unlink(2, 3)
+        LengthWindow(Surd(Fraction(1, 10**12), 1, 13)).ensure_valid(dga)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(WindowCollision):
             LengthWindow(Fraction(0))
