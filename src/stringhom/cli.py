@@ -1,14 +1,14 @@
 """Command-line front end.
 
 One executable with five subcommands: dga-homology, distinguish, chords,
-cord, specseq.  Results print as plain tables and can be written as JSON or
-CSV; every run drops a manifest (command, parameters, versions, wall time,
-output paths) into the output directory.  Exit codes: 0 ok, 2 invalid
-length window, 3 malformed DGA input, 4 chord search failure rate over the
-threshold, 5 cord truncation instability, 6 parameter out of range or not
-applicable to the input.  Each error exit prints one ``error:`` line on
-stderr; the mapping is the ``ERRORS`` table.  Only ``chords`` imports the
-floating-point chord solver, and with it numpy.
+cord, specseq.  Results print as plain tables; each subcommand takes only
+the ``--json``/``--csv`` flags it writes, and every run drops a manifest
+(command, parameters, versions, wall time, output paths) into the output
+directory.  Exit codes: 0 ok, 2 invalid length window or usage error, 3
+malformed DGA input, 4 chord search failure rate over the threshold, 5 cord
+truncation instability, 6 parameter out of range or not applicable to the
+input.  Each error exit prints one ``error:`` line on stderr; the mapping is
+the ``ERRORS`` table.  Only ``chords`` imports numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ ERRORS = (
     ((free_dga.InvalidDGA, free_dga.UnknownGenerator), EXIT_INVALID_DGA, "invalid DGA"),
     (
         (free_dga.ParameterOutOfRange, free_dga.NotApplicable, free_dga.GradingViolation,
-         cord.BoundExceeded),
+         cord.CordError, specseq.FilteredComplexError),
         EXIT_PARAMETER,
         "bad parameter",
     ),
@@ -338,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *formats):
         p.add_argument("--outdir", default=None, help="manifest/output directory")
-        p.add_argument("--json", default=None, help="write JSON result here")
-        p.add_argument("--csv", default=None, help="write CSV result here")
+        for fmt in formats:
+            p.add_argument(f"--{fmt}", default=None, help=f"write {fmt.upper()} result here")
 
     p = sub.add_parser("dga-homology", help="homology dims of a built-in or JSON DGA")
     p.add_argument("--builtin", choices=["hopf", "unlink"])
@@ -353,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-range", type=int, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--h0", action="store_true", help="also degree-0 word-count slices")
     p.add_argument("--wmax", type=int, default=4)
-    common(p)
+    common(p, "json", "csv")
     p.set_defaults(func=cmd_dga_homology)
 
     p = sub.add_parser("distinguish", help="linked vs spaced pair discriminator")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--z2star", type=_fraction, default=Fraction(3))
     p.add_argument("--wmax", type=int, default=4)
-    common(p)
+    common(p, "json")
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("chords", help="binormal chord spectrum search")
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1, help="also report m-fold sums")
     p.add_argument("--circle-seeds", type=int, default=24)
     p.add_argument("--sphere-seeds", type=int, default=36)
-    common(p)
+    common(p, "json", "csv")
     p.set_defaults(func=cmd_chords)
 
     p = sub.add_parser("cord", help="cord algebra slice dimensions")
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--compare", action="store_true", help="compare with DGA H_0")
-    common(p)
+    common(p, "json", "csv")
     p.set_defaults(func=cmd_cord)
 
     p = sub.add_parser("specseq", help="weight-filtration spectral sequence pages")
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_fraction, default=None)
     p.add_argument("--rmax", type=int, default=3)
     p.add_argument("--forget-f", action="store_true", help="stabilization part only")
-    common(p)
+    common(p, "csv")
     p.set_defaults(func=cmd_specseq)
 
     return parser
@@ -401,6 +401,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "wmax", 0) < 0:
+            raise free_dga.ParameterOutOfRange("wmax must be nonnegative")
         return args.func(args)
     except tuple(t for types, _, _ in ERRORS for t in types) as exc:
         code, what = next((c, w) for types, c, w in ERRORS if isinstance(exc, types))

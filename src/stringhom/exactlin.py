@@ -1,18 +1,20 @@
 """Exact sparse linear algebra over the rationals.
 
 Every dimension computed by this package (homology groups, spectral sequence
-pages, cord quotients) comes down to ranks and kernels of sparse matrices
-whose entries are small integers or exact rationals.  A rank that is off by
-one is worthless, so no floating point ever enters.  ``RowReducer`` keeps
-entries as ``int`` while they stay integral (a lead of +-1 is normalised by
+pages, cord quotients) comes down to ranks of sparse matrices whose entries
+are small integers or exact rationals.  A rank that is off by one is
+worthless, so no floating point ever enters.  ``RowReducer`` keeps entries
+as ``int`` while they stay integral (a lead of +-1 is normalised by
 negation) and moves to ``fractions.Fraction`` only when it divides by a
 lead that is not +-1; the built-in differentials never need it.
 
-Matrices store a ``(row, col) -> int or Fraction`` map with no explicit zeros
-(``int`` entries stay ``int``, as in ``RowReducer``); row vectors are plain
-``{col: int or Fraction}`` dicts.  Reduced row echelon form is
-canonical for a given row space, which makes every basis produced here
-deterministic and reproducible regardless of input order.
+``homology_dims`` is the one place where homology dimensions are formed
+from block ranks, and ``quotient_slice_dims`` reads filtration slices of a
+quotient off pivot positions.  Matrices store a ``(row, col) -> int or
+Fraction`` map with no explicit zeros (``int`` entries stay ``int``, as in
+``RowReducer``); row vectors are plain ``{col: int or Fraction}`` dicts.
+Reduced row echelon form is canonical for a given row space, which makes
+every basis produced here deterministic regardless of input order.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-
-class ExactLinError(Exception):
-    pass
-
-
-class ContainmentViolation(ExactLinError):
-    """Raised when a claimed subspace inclusion fails."""
 
 
 def as_fraction(x) -> Fraction:
@@ -57,26 +51,6 @@ class SparseMatrix:
                 clean[(i, j)] = v
         self.entries = clean
 
-    @classmethod
-    def from_rows(cls, data: Iterable[Iterable]) -> "SparseMatrix":
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if data else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, {(i, j): v for i, r in enumerate(data) for j, v in enumerate(r)})
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, {})
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
     def row_dicts(self) -> list[dict]:
         out = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -88,20 +62,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             out[j][i] = v
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def apply(self, vec: Mapping[int, Fraction]) -> dict:
-        """Matrix times column vector, both sparse."""
-        out: dict = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
-            if c:
-                out[i] = out.get(i, Fraction(0)) + v * c
-        return {i: v for i, v in out.items() if v != 0}
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -224,24 +184,23 @@ def quotient_slice_dims(slice_sizes: list[int], pivot_weights: Iterable[int]) ->
     return [size - per_weight[w] for w, size in enumerate(slice_sizes)]
 
 
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
-    """Reduced row echelon form and pivot columns.
+def homology_dims(sizes: Mapping[int, int], blocks: Iterable) -> dict[int, int]:
+    """dim H_n = sizes[n] - rank d_n - rank d_(n+1) for each degree n of ``sizes``.
 
-    The row space is preserved and the result is canonical: it depends only
-    on the span of the input rows, never on their order.
+    ``blocks`` yields ``(n, rows)`` with the rows of d_n, the boundary out
+    of degree n (empty rows are skipped); a degree it never names has
+    d_n = 0.  Each block is ranked in its own call, so no reducer outlives
+    its block.
     """
-    red = RowReducer()
-    for row in m.row_dicts():
-        red.add(row)
-    rows = red.reduced_rows()
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return SparseMatrix(len(rows), m.cols, entries), red.pivot_columns()
+    ranks = {n: _block_rank(rows) for n, rows in blocks}
+    return {n: size - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, size in sizes.items()}
 
 
-def rank(m: SparseMatrix) -> int:
+def _block_rank(rows: Iterable[Mapping]) -> int:
     red = RowReducer()
-    for row in m.row_dicts():
-        red.add(row)
+    for row in rows:
+        if row:
+            red.add(row)
     return red.rank
 
 
@@ -288,33 +247,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def kernel_basis(m: SparseMatrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    rows = reduced.row_dicts()
-    vectors = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for i, p in enumerate(pivots):
-            coeff = rows[i].get(f)
-            if coeff:
-                vec[p] = -coeff
-        vectors.append(vec)
-    return Subspace.from_vectors(m.cols, vectors)
-
-
-def quotient_dim(v: Subspace, w: Subspace) -> int:
-    """dim(v/w) for w contained in v; raises ContainmentViolation otherwise."""
-    if v.ambient_dim != w.ambient_dim:
-        raise ContainmentViolation("ambient dimensions differ")
-    red = RowReducer()
-    for row in v.basis:
-        red.add(row)
-    for row in w.basis:
-        if not red.contains(row):
-            raise ContainmentViolation("subspace is not contained in the ambient space")
-    return v.dim - w.dim

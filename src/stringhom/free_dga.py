@@ -31,6 +31,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Mapping
 
+from . import exactlin
 from .exactlin import RowReducer, as_fraction, quotient_slice_dims
 from .lengths import IncompatibleRadicals, Surd, parse_length
 
@@ -224,6 +225,9 @@ class DGA:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        radicands = {g.length.n for g in self.generators if g.length.q}
+        if len(radicands) > 1:
+            raise InvalidDGA(f"generator lengths mix the radicands {sorted(radicands)}")
         for g in self.generators:
             img = self.diff[g.id]
             for w in img.terms:
@@ -478,18 +482,6 @@ def _diff_rows(dga: DGA, source: Iterable[Word], index: Mapping[Word, int]):
             yield {index[ww]: c for ww, c in img.items()}
 
 
-def _diff_matrix_rank(dga: DGA, source: list[Word], target: list[Word]) -> int:
-    """Rank of D from ``source`` to ``target``, rows streamed into one reducer.
-
-    The matrix is block diagonal up to permutation, and a row only ever meets
-    pivots of its own block, so one reducer does the blockwise work.
-    """
-    red = RowReducer()
-    for row in _diff_rows(dga, source, {w: i for i, w in enumerate(target)}):
-        red.add(row)
-    return red.rank
-
-
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
     """dim ker(D at this degree) - dim im(D from one degree up)."""
     return homology_dims_all(dga, window, [degree])[degree]
@@ -516,13 +508,13 @@ def homology_dims_all(
         by_degree.setdefault(sum(map(degree_of.__getitem__, w)), []).append(w)
     if wanted is None:
         wanted = sorted(by_degree)
-    # ranks[p] is the rank of D from degree p to degree p - 1.
-    ranks = {
-        p: _diff_matrix_rank(dga, by_degree[p], by_degree[p - 1])
+    # The block of degree p is D from degree p to degree p - 1.
+    blocks = (
+        (p, _diff_rows(dga, by_degree[p], {w: i for i, w in enumerate(by_degree[p - 1])}))
         for p in sorted({p + k for p in wanted for k in (0, 1)})
         if p in by_degree and p - 1 in by_degree
-    }
-    return {p: len(by_degree.get(p, ())) - ranks.get(p, 0) - ranks.get(p + 1, 0) for p in wanted}
+    )
+    return exactlin.homology_dims({p: len(by_degree.get(p, ())) for p in wanted}, blocks)
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:

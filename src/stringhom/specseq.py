@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import free_dga
+from . import exactlin, free_dga
 from .exactlin import RowReducer, SparseMatrix, as_fraction
 
 
@@ -91,17 +91,10 @@ class FilteredComplex:
         for i, c in enumerate(self.cells):
             by_degree.setdefault(c.degree, []).append(i)
         cols = self.boundary.col_dicts()
-        ranks: dict[int, int] = {}
-        for n, idxs in by_degree.items():
-            red = RowReducer()
-            for j in idxs:
-                if cols[j]:
-                    red.add(cols[j])
-            ranks[n] = red.rank
-        dims = {}
-        for n, idxs in by_degree.items():
-            dims[n] = len(idxs) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        return {n: d for n, d in dims.items()}
+        return exactlin.homology_dims(
+            {n: len(idxs) for n, idxs in by_degree.items()},
+            ((n, (cols[j] for j in idxs)) for n, idxs in by_degree.items()),
+        )
 
     def persistence_pairs(self) -> tuple[list[tuple[int, int]], list[int]]:
         """(lead, column) pairs and unpaired cells of one filtered reduction.
@@ -232,16 +225,14 @@ def associated_graded_homology(fc: FilteredComplex) -> dict[tuple[int, int], int
         by_degree: dict[int, list[int]] = {}
         for j in idxs:
             by_degree.setdefault(fc.cells[j].degree, []).append(j)
-        ranks: dict[int, int] = {}
-        for n, js in by_degree.items():
-            red = RowReducer()
-            for j in js:
-                row = {sub[i]: v for i, v in cols[j].items() if i in sub}
-                if row:
-                    red.add(row)
-            ranks[n] = red.rank
-        for n, js in by_degree.items():
-            dim = len(js) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        dims = exactlin.homology_dims(
+            {n: len(js) for n, js in by_degree.items()},
+            (
+                (n, ({sub[i]: v for i, v in cols[j].items() if i in sub} for j in js))
+                for n, js in by_degree.items()
+            ),
+        )
+        for n, dim in dims.items():
             if dim:
                 out[(p, n - p)] = dim
     return out

@@ -14,8 +14,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from stringhom.exactlin import RowReducer, SparseMatrix, Subspace, kernel_basis
+from stringhom.exactlin import RowReducer, SparseMatrix, Subspace
 from stringhom.specseq import FilteredComplex, PageTable, stable_page_index
+
+
+def kernel_basis(m: SparseMatrix) -> Subspace:
+    """Canonical basis of the right kernel {v : m v = 0}.
+
+    One free column per basis vector, read off the reduced rows of ``m``.
+    """
+    red = RowReducer()
+    for row in m.row_dicts():
+        red.add(row)
+    rows, pivots = red.reduced_rows(), red.pivot_columns()
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        vec = {f: Fraction(1)}
+        for row, p in zip(rows, pivots):
+            coeff = row.get(f)
+            if coeff:
+                vec[p] = -coeff
+        vectors.append(vec)
+    return Subspace.from_vectors(m.cols, vectors)
 
 
 class _PageEngine:

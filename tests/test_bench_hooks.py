@@ -35,7 +35,10 @@ def _load_tracer():
 
 def test_tracer_installs_counts_and_restores():
     originals = [inspect.getattr_static(owner, attr) for owner, attr in HOOKS]
-    tracer = _load_tracer().Tracer()
+    module = _load_tracer()
+    # Its span includes the lazy ``_word_differential`` calls: no elimination stage.
+    assert module._stage("exactlin.homology_dims") is None
+    tracer = module.Tracer()
     try:
         tracer.install()
         for (owner, attr), raw in zip(HOOKS, originals):

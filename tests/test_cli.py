@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -264,6 +266,43 @@ class TestErrorExits:
         self.check(["specseq", "--spec", str(spec), "--a", "3.5", "--forget-f"],
                    6, tmp_path, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cord", "--builtin", "hopf_link", "--kmax", "1"],
+            ["cord", "--builtin", "hopf_link", "--wmax", "-1"],
+            ["dga-homology", "--builtin", "hopf", "--h0", "--wmax", "-1"],
+            ["distinguish", "--d", "2", "--wmax", "-1"],
+        ],
+        ids=["cord_kmax", "cord_wmax", "dga_homology_wmax", "distinguish_wmax"],
+    )
+    def test_bad_wmax_or_kmax_exit_6(self, argv, tmp_path, capsys):
+        err = self.check(argv, 6, tmp_path, capsys)
+        assert err.startswith("error: bad parameter: ")
+
+    def test_weight_lowering_spec_specseq_exit_6(self, tmp_path, capsys):
+        spec = tmp_path / "lowering.json"
+        spec.write_text(json.dumps({
+            "generators": [{"id": "a", "degree": 0, "length": "1", "weight": 1},
+                           {"id": "b", "degree": 1, "length": "1", "weight": 2}],
+            "diff": {"b": [{"coeff": "1", "word": ["a"]}]},
+        }))
+        # D lowers weight from b to a: fine for homology, but no weight filtration.
+        argv = ["--spec", str(spec), "--a", "2.5", "--outdir", str(tmp_path)]
+        assert run(["dga-homology", "--degree", "0"] + argv, capsys)[0] == 0
+        err = self.check(["specseq", "--spec", str(spec), "--a", "2.5"], 6, tmp_path, capsys)
+        assert "raises filtration" in err
+
+    def test_mixed_radicands_exit_3(self, tmp_path, capsys):
+        spec = tmp_path / "radicands.json"
+        spec.write_text(json.dumps({
+            "generators": [{"id": "a", "degree": 0, "length": "sqrt(2)"},
+                           {"id": "b", "degree": 0, "length": "sqrt(3)"}],
+        }))
+        for sub in ("dga-homology", "specseq"):
+            err = self.check([sub, "--spec", str(spec), "--a", "2.5"], 3, tmp_path, capsys)
+            assert "radicands" in err
+
     def test_unknown_letter_exit_3(self, tmp_path, capsys):
         spec = tmp_path / "letter.json"
         data = free_dga.dga_to_json_dict(free_dga.build_hopf(2))
@@ -279,6 +318,45 @@ class TestErrorExits:
         err = self.check(["dga-homology", "--spec", str(spec), "--degree", "0", "--a", "6.5"],
                          3, tmp_path, capsys)
         assert "C1_00" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["distinguish", "--d", "2", "--csv", "out.csv"],
+     ["specseq", "--builtin", "hopf", "--a", "3.5", "--json", "out.json"]],
+    ids=["distinguish_csv", "specseq_json"],
+)
+def test_unwritten_output_flag_is_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# Errors defined under src/stringhom that no CLI run can raise, with the reason.
+UNREACHABLE = {
+    "free_dga.DGAError": "base class, never raised itself; every subclass is mapped",
+    "chords.ChordError": "base class, never raised itself; its subclasses are checked here",
+    "chords.DegenerateSegment": "every chord of the built-in links has length at least 1, "
+    "far above the eps_min = 1e-3 that makes a segment degenerate",
+    "lengths.IncompatibleRadicals": "CLI window bounds are rational, and DGA.validate "
+    "rejects generator lengths over two radicands as InvalidDGA",
+}
+
+
+def test_every_error_maps_to_an_exit_code():
+    mapped = tuple(t for types, _, _ in cli.ERRORS for t in types)
+    seen = set()
+    for info in pkgutil.iter_modules(stringhom.__path__):
+        mod = importlib.import_module(f"stringhom.{info.name}")
+        for obj in vars(mod).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == mod.__name__):
+                name = f"{info.name}.{obj.__name__}"
+                seen.add(name)
+                assert issubclass(obj, mapped) or name in UNREACHABLE, name
+    assert set(UNREACHABLE) <= seen
 
 
 # Runs the exact subcommands in a fresh interpreter, then fails if numpy was

@@ -27,8 +27,9 @@ from stringhom.free_dga import (
     homology_dim,
     homology_dims_all,
     word_basis,
-    _diff_matrix_rank,
+    _diff_rows,
 )
+from stringhom.exactlin import RowReducer
 from stringhom.lengths import Surd
 
 
@@ -275,12 +276,17 @@ class TestHomology:
 
 
 def _per_degree_dim(dga, p, window):
-    """H_p from three separately enumerated bases, one rank per boundary."""
+    """H_p from three separately enumerated bases, one reducer per boundary."""
     basis = word_basis(dga, p, window)
     down, up = word_basis(dga, p - 1, window), word_basis(dga, p + 1, window)
-    rank_down = _diff_matrix_rank(dga, basis, down) if basis and down else 0
-    rank_up = _diff_matrix_rank(dga, up, basis) if up and basis else 0
-    return len(basis) - rank_down - rank_up
+
+    def rank(source, target):
+        red = RowReducer()
+        for row in _diff_rows(dga, source, {w: i for i, w in enumerate(target)}):
+            red.add(row)
+        return red.rank
+
+    return len(basis) - rank(basis, down) - rank(up, basis)
 
 
 class TestSharedHomology:

@@ -5,7 +5,9 @@ import pytest
 from page_oracle import oracle_pages
 
 from stringhom import free_dga
+from stringhom.cli import _valid_window
 from stringhom.exactlin import SparseMatrix
+from stringhom.lengths import Surd
 from stringhom.specseq import (
     Cell,
     FilteredComplex,
@@ -66,8 +68,7 @@ def random_filtered_pair(seed: int, ncells: int = 10):
     nilpotent = SparseMatrix(
         ncells, ncells, {k: v for k, v in p_entries.items() if k[0] != k[1]}
     )
-    inv = SparseMatrix.identity(ncells)
-    term = SparseMatrix.identity(ncells)
+    inv = term = SparseMatrix(ncells, ncells, {(i, i): 1 for i in range(ncells)})
     sign = 1
     for _ in range(ncells):
         term = term @ nilpotent
@@ -122,7 +123,7 @@ class TestFromDga:
 class TestPages:
     def test_zero_boundary_pages_constant(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1), Cell("c", 1, -1)]
-        fc = FilteredComplex(cells, SparseMatrix.zeros(3, 3))
+        fc = FilteredComplex(cells, SparseMatrix(3, 3))
         first = page(fc, 1)
         assert first.dim(0, 0) == 1
         assert first.dim(-1, 2) == 2
@@ -167,7 +168,7 @@ class TestPages:
 
     def test_convergence_zero_boundary(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1)]
-        fc = FilteredComplex(cells, SparseMatrix.zeros(2, 2))
+        fc = FilteredComplex(cells, SparseMatrix(2, 2))
         assert convergence_check(fc)
 
     def test_first_page_diagonal_counts_chord_words(self, hopf_complex):
@@ -201,6 +202,73 @@ class TestComparison:
         hom = plain.homology_dims()
         for n in set(total_e_inf) | set(hom):
             assert total_e_inf.get(n, 0) == hom.get(n, 0)
+
+
+def random_spec_dga(seed: int) -> free_dga.DGA:
+    """Random DGA read back from its JSON spec.
+
+    Cycles have D = 0; every other generator sends one or two words in the
+    cycles, of one common degree, no longer and no lighter than itself.
+    Each letter of such a word is a cycle, so D^2 = 0.
+    """
+    rng = random.Random(seed)
+    lengths = [Fraction(k, 2) for k in range(2, 6)]
+    cycles = [
+        free_dga.Generator(f"z{k}", rng.randint(0, 2), Surd(rng.choice(lengths)),
+                           rng.randint(1, 2))
+        for k in range(rng.randint(2, 4))
+    ]
+    words: dict[int, list] = {}
+    for w in [(g,) for g in cycles] + [(g, h) for g in cycles for h in cycles]:
+        words.setdefault(sum(g.degree for g in w), []).append(w)
+    gens, diff = list(cycles), {}
+    for k in range(rng.randint(1, 3)):
+        deg = rng.choice(sorted(words))
+        image = rng.sample(words[deg], min(len(words[deg]), rng.randint(1, 2)))
+        length = max(sum((g.length for g in w), Surd(0)) for w in image)
+        gen = free_dga.Generator(f"x{k}", deg + 1, length + rng.choice([0, Fraction(1, 2)]),
+                                 min(sum(g.weight for g in w) for w in image))
+        gens.append(gen)
+        diff[gen.id] = sum(
+            (free_dga.AlgebraElement.from_word([g.id for g in w], rng.choice([1, -1, 2]))
+             for w in image),
+            free_dga.AlgebraElement.zero(),
+        )
+    dga = free_dga.DGA(gens, diff)
+    return free_dga.dga_from_json_dict(free_dga.dga_to_json_dict(dga))
+
+
+class TestThreeRoutes:
+    """``homology_dims_all``, the filtered complex's homology and the E-oo
+    degree totals agree: the first ranks words of the window by degree, the
+    second ranks the boundary of ``from_dga``, the third reads persistence
+    pairs.
+    """
+
+    def check(self, dga, window):
+        fc = from_dga(dga, window)
+        routes = [free_dga.homology_dims_all(dga, window), fc.homology_dims(),
+                  einfinity(fc).total_dims()]
+        first, *rest = [{n: d for n, d in dims.items() if d} for dims in routes]
+        assert rest == [first, first]
+
+    @pytest.mark.parametrize(
+        "make,a",
+        [
+            (lambda: free_dga.build_hopf(2), Fraction(9, 2)),
+            (lambda: free_dga.build_hopf(2), Fraction(11, 2)),
+            (lambda: free_dga.forget_F(free_dga.build_hopf(2)), Fraction(9, 2)),
+            (lambda: free_dga.build_unlink(2, 3), Fraction(19, 2)),
+        ],
+        ids=["hopf2-9/2", "hopf2-11/2", "hopf2_del-9/2", "unlink23-19/2"],
+    )
+    def test_builtin(self, make, a):
+        self.check(make(), free_dga.LengthWindow(a))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_spec(self, seed):
+        dga = random_spec_dga(seed)
+        self.check(dga, _valid_window(dga, Fraction(9, 2)))
 
 
 class TestIO:
@@ -242,7 +310,7 @@ class TestPersistenceOracle:
 
     def test_zero_boundary(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1), Cell("c", 1, -3), Cell("d", 2, -2)]
-        self.check(FilteredComplex(cells, SparseMatrix.zeros(4, 4)))
+        self.check(FilteredComplex(cells, SparseMatrix(4, 4)))
 
     @pytest.mark.parametrize(
         "dga,a",
