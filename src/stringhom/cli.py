@@ -400,9 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "dga-homology" and not (args.degree or args.degree_range or args.h0):
+        parser.error("dga-homology needs --degree, --degree-range or --h0")
     try:
         if getattr(args, "wmax", 0) < 0:
             raise free_dga.ParameterOutOfRange("wmax must be nonnegative")
+        if getattr(args, "m", 1) < 1:
+            raise free_dga.ParameterOutOfRange("m must be at least 1")
+        if getattr(args, "degree_range", None) and args.degree_range[0] > args.degree_range[1]:
+            raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")
         return args.func(args)
     except tuple(t for types, _, _ in ERRORS for t in types) as exc:
         code, what = next((c, w) for types, c, w in ERRORS if isinstance(exc, types))

@@ -64,6 +64,10 @@ class BoundExceeded(CordError):
     pass
 
 
+class InvalidPresentation(CordError):
+    """A presentation record lacks a key or holds a field of the wrong type."""
+
+
 @dataclass(frozen=True)
 class CordGenerator:
     id: str
@@ -467,23 +471,53 @@ def presentation_to_json_dict(pres: CordPresentation) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _field(record, key: str, kind: type, what: str, default=_REQUIRED):
+    """``record[key]``, which must be of exactly type ``kind`` (so no bool for int)."""
+    if not isinstance(record, Mapping):
+        raise InvalidPresentation(f"{what} is not a JSON object: {record!r}")
+    if key not in record:
+        if default is _REQUIRED:
+            raise InvalidPresentation(f"{what} lacks the key {key!r}")
+        return default
+    value = record[key]
+    if type(value) is not kind:
+        raise InvalidPresentation(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def presentation_from_json_dict(data: Mapping) -> CordPresentation:
+    """Strict inverse of ``presentation_to_json_dict``.
+
+    ``generators`` and each record's ids, ``source`` and ``target`` are
+    required; ``depth`` (0), ``constants``, ``skein`` (empty), ``bound`` (4)
+    and ``name`` are optional.  A missing key or a field of the wrong JSON
+    type raises ``InvalidPresentation``.
+    """
     gens = [
         CordGenerator(
-            str(g["id"]), int(g["source"]), int(g["target"]), int(g.get("depth", 0))
+            _field(g, "id", str, "generator"),
+            _field(g, "source", int, "generator"),
+            _field(g, "target", int, "generator"),
+            _field(g, "depth", int, "generator", 0),
         )
-        for g in data["generators"]
+        for g in _field(data, "generators", list, "presentation")
     ]
     skein = [
-        SkeinInstance(s["concat"], s["inserted"], s["left"], s["right"])
-        for s in data.get("skein", [])
+        SkeinInstance(
+            *(_field(s, k, str, "skein instance") for k in ("concat", "inserted", "left", "right"))
+        )
+        for s in _field(data, "skein", list, "presentation", [])
     ]
+    # The constructor rejects constants and skein names that are not generator ids.
     return CordPresentation(
         gens,
-        [str(c) for c in data.get("constants", [])],
+        _field(data, "constants", list, "presentation", []),
         skein,
-        bound=int(data.get("bound", 4)),
-        name=str(data.get("name", "")),
+        bound=_field(data, "bound", int, "presentation", 4),
+        name=_field(data, "name", str, "presentation", ""),
     )
 
 

@@ -188,6 +188,8 @@ class DGA:
             )
             for g in self.generators
         }
+        # Letters with D = 0: a word made of them alone has no differential.
+        self._dead = frozenset(gid for gid, (_, terms) in self._letters.items() if not terms)
         self.del_part = dict(del_part) if del_part is not None else None
         self.f_part = dict(f_part) if f_part is not None else None
         self.name = name
@@ -413,22 +415,14 @@ def _spectrum(steps, cap: tuple[int, int], n: int, inclusive: bool) -> list[tupl
     return sorted(seen, key=by_length)
 
 
-def _enumerate_words(
-    dga: DGA, window: LengthWindow, degree: int | None, max_degree: int | None = None
-) -> list[Word]:
-    """All words below the window bound, optionally filtered to one degree.
+def _moves(dga: DGA, window: LengthWindow) -> list[list[tuple[str, int, int]]]:
+    """Per exact length rank, the letters that keep a word inside the window.
 
-    Lengths are ranks in the exact, sorted spectrum of realizable sums below
-    the bound, and a table gives, per rank, the letters that keep a word
-    inside the window (by length, so a row ends at the first overshoot) with
-    the rank they lead to.  Depth-first over appended letters, pruning by
-    degree above ``degree`` (or above ``max_degree`` when no single degree is
-    asked for) when the grading is nonnegative.  Output is sorted in the
-    canonical monomial order (degree, exact length, letter count, lex).
+    Ranks index the exact, sorted spectrum of realizable sums below the
+    bound; rank 0 is the empty word's length.  Row r lists ``(id, degree,
+    rank after appending)`` by generator length, so a row ends at the first
+    letter that overshoots.
     """
-    cap = degree if degree is not None else max_degree
-    if not dga.nonneg_graded:
-        cap = None
     scaled, bound, n, _ = _scaled_lengths(dga, window)
     by_length = _exact_order(n)
     spectrum = _spectrum(scaled, bound, n, inclusive=False)
@@ -444,8 +438,25 @@ def _enumerate_words(
                 break
             row.append((g.id, g.degree, r))
         moves.append(row)
+    return moves
+
+
+def _enumerate_words(
+    dga: DGA, window: LengthWindow, degree: int | None, max_degree: int | None = None
+) -> list[Word]:
+    """All words below the window bound, optionally filtered to one degree.
+
+    Depth-first over appended letters along the ``_moves`` table, pruning by
+    degree above ``degree`` (or above ``max_degree`` when no single degree is
+    asked for) when the grading is nonnegative.  Output is sorted in the
+    canonical monomial order (degree, exact length, letter count, lex).
+    """
+    cap = degree if degree is not None else max_degree
+    if not dga.nonneg_graded:
+        cap = None
+    moves = _moves(dga, window)
     out: list[tuple] = []
-    stack = [(UNIT, 0, 0)]  # rank 0 is the empty word's length
+    stack = [(UNIT, 0, 0)]
     while stack:
         word, deg, r = stack.pop()
         if degree is None or deg == degree:
@@ -474,8 +485,12 @@ def _diff_rows(dga: DGA, source: Iterable[Word], index: Mapping[Word, int]):
 
     Terms outside ``index`` cannot occur when it holds the whole target
     degree of a valid window: the differential never increases length.
+    A word whose letters all have D = 0 is skipped: it gives no row.
     """
+    dead = dga._dead
     for w in source:
+        if dead.issuperset(w):
+            continue
         img: dict = {}
         _word_differential(dga, w, img, 1)
         if img:
@@ -522,22 +537,50 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
 
     Needs a nonnegative grading: then every degree-0 element is a cycle and
     the image of the degree-1 part is spanned by u·D(g)·v over degree-0
-    words u, v.  The image is only filtered (not graded) by letter count, so
-    the slice dimensions reported are those of the induced filtration:
-    dim F_w/F_{w-1} where F_w is spanned by words with at most w letters.
+    words u, v and degree-1 letters g with D(g) != 0 (D vanishes on the
+    degree-0 letters and the prefix u has degree 0, so every sign is +).
+    The rows are built that way, along the ``_moves`` table: the degree-0
+    words once, with their length ranks, and per rank the degree-0 suffixes
+    that still fit; no degree-1 word is enumerated.  The image is only
+    filtered (not graded) by letter count, so the slice dimensions reported
+    are those of the induced filtration: dim F_w/F_{w-1} where F_w is
+    spanned by words with at most w letters.
     """
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
     window.ensure_valid(dga)
-    basis0 = _enumerate_words(dga, window, 0)
+    moves = _moves(dga, window)
+    moves0 = [[(gid, r) for gid, deg, r in row if deg == 0] for row in moves]
+    live = {g.id: dga._letters[g.id][1] for g in dga.generators
+            if g.degree == 1 and g.id not in dga._dead}
+    moves1 = [[(live[gid], r) for gid, _, r in row if gid in live] for row in moves]
+
+    def walk(start: int) -> list[tuple[Word, int]]:
+        """Degree-0 words that fit after a prefix of rank ``start``, with end ranks."""
+        found = []
+        stack = [(UNIT, start)]
+        while stack:
+            word, r = stack.pop()
+            found.append((word, r))
+            for gid, nr in moves0[r]:
+                stack.append((word + (gid,), nr))
+        return found
+
+    basis0 = walk(0)
     # Columns by decreasing letter count, so that each pivot is the longest
     # word of its row.
-    columns = sorted(basis0, key=lambda w: (-len(w), w))
+    columns = sorted((w for w, _ in basis0), key=lambda w: (-len(w), w))
     index = {w: i for i, w in enumerate(columns)}
+    suffixes: dict[int, list[Word]] = {}
     red = RowReducer()
-    for row in _diff_rows(dga, _enumerate_words(dga, window, 1), index):
-        red.add(row)
-    per_count = Counter(map(len, basis0))
+    for u, r in basis0:
+        for terms, r1 in moves1[r]:
+            tails = suffixes.get(r1)
+            if tails is None:
+                tails = suffixes[r1] = [v for v, _ in walk(r1)]
+            for v in tails:
+                red.add({index[u + t + v]: c for t, c in terms})
+    per_count = Counter(map(len, columns))
     sizes = [per_count[k] for k in range(wmax + 1)]
     return quotient_slice_dims(sizes, (len(columns[c]) for c in red.pivots))
 

@@ -280,6 +280,22 @@ class TestErrorExits:
         err = self.check(argv, 6, tmp_path, capsys)
         assert err.startswith("error: bad parameter: ")
 
+    def test_reversed_degree_range_exit_6(self, tmp_path, capsys):
+        err = self.check(["dga-homology", "--builtin", "hopf", "--a", "3.5",
+                          "--degree-range", "5", "2"], 6, tmp_path, capsys)
+        assert "LO <= HI" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_chords_m_below_1_exit_6_before_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the chord search ran")
+
+        monkeypatch.setattr(chords, "find_spectrum", no_search)
+        for m in ("0", "-2"):
+            err = self.check(["chords", "--builtin", "hopf", "--d", "2", "--a", "3.5",
+                              "--m", m], 6, tmp_path, capsys)
+            assert "m must be at least 1" in err
+
     def test_weight_lowering_spec_specseq_exit_6(self, tmp_path, capsys):
         spec = tmp_path / "lowering.json"
         spec.write_text(json.dumps({
@@ -299,8 +315,8 @@ class TestErrorExits:
             "generators": [{"id": "a", "degree": 0, "length": "sqrt(2)"},
                            {"id": "b", "degree": 0, "length": "sqrt(3)"}],
         }))
-        for sub in ("dga-homology", "specseq"):
-            err = self.check([sub, "--spec", str(spec), "--a", "2.5"], 3, tmp_path, capsys)
+        for sub in (["dga-homology", "--degree", "0"], ["specseq"]):
+            err = self.check(sub + ["--spec", str(spec), "--a", "2.5"], 3, tmp_path, capsys)
             assert "radicands" in err
 
     def test_unknown_letter_exit_3(self, tmp_path, capsys):
@@ -331,6 +347,14 @@ def test_unwritten_output_flag_is_usage_error(argv, tmp_path, capsys):
         cli.main(argv + ["--outdir", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_dga_homology_without_degrees_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dga-homology", "--builtin", "hopf", "--a", "3.5", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "needs --degree, --degree-range or --h0" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -5,7 +5,9 @@ import pytest
 from stringhom import free_dga
 from stringhom.cord import (
     BoundExceeded,
+    CordError,
     CordGenerator,
+    InvalidPresentation,
     CordPresentation,
     SkeinInstance,
     UnknownBuiltin,
@@ -206,3 +208,71 @@ class TestJson:
             name="custom",
         )
         assert quotient_dims_by_wordcount(pres, 3) == [1, 2, 3, 4]
+
+
+def _set(path, value):
+    def edit(data):
+        *head, last = path
+        for k in head:
+            data = data[k]
+        data[last] = value
+    return edit
+
+
+class TestStrictLoader:
+    """Every malformed presentation record raises ``InvalidPresentation``."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.pop("generators"),
+            lambda data: data["generators"][0].pop("id"),
+            lambda data: data["generators"][0].pop("source"),
+            lambda data: data["generators"][1].pop("target"),
+            lambda data: data["skein"][0].pop("left"),
+        ],
+        ids=["generators", "id", "source", "target", "skein_left"],
+    )
+    def test_missing_key(self, edit):
+        data = presentation_to_json_dict(builtin_presentation("hopf_link", 2))
+        edit(data)
+        with pytest.raises(InvalidPresentation, match="lacks the key"):
+            presentation_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(("generators", 0, "source"), "0"),
+            _set(("generators", 0, "target"), 1.0),
+            _set(("generators", 2, "depth"), 1.5),
+            _set(("generators", 2, "depth"), True),
+            _set(("bound",), "4"),
+        ],
+        ids=["source_str", "target_float", "depth_float", "depth_bool", "bound_str"],
+    )
+    def test_non_integer_field(self, edit):
+        data = presentation_to_json_dict(builtin_presentation("hopf_link", 2))
+        edit(data)
+        with pytest.raises(InvalidPresentation, match="must be int"):
+            presentation_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(("generators",), {"x01": {}}),
+            _set(("generators", 0), ["s00_0", 0, 0]),
+            _set(("skein", 0, "concat"), 7),
+        ],
+        ids=["generators_not_list", "record_not_object", "skein_name_int"],
+    )
+    def test_wrong_record_type(self, edit):
+        data = presentation_to_json_dict(builtin_presentation("hopf_link", 2))
+        edit(data)
+        with pytest.raises(InvalidPresentation):
+            presentation_from_json_dict(data)
+
+    def test_unknown_skein_generator(self):
+        data = presentation_to_json_dict(builtin_presentation("hopf_link", 2))
+        data["skein"][0]["left"] = "nowhere"
+        with pytest.raises(CordError, match="unknown generator nowhere"):
+            presentation_from_json_dict(data)

@@ -5,6 +5,7 @@ run on integer-scaled lengths, a per-letter differential table and ``int``
 elimination; each must agree exactly with the Surd/Fraction route.
 """
 
+import random
 from fractions import Fraction
 
 import dga_oracle
@@ -15,11 +16,14 @@ from stringhom.free_dga import (
     AlgebraElement,
     Generator,
     LengthWindow,
+    _diff_rows,
     _enumerate_words,
+    _word_differential,
     build_hopf,
     build_unlink,
     differential,
     dga_from_json_dict,
+    forget_F,
     h0_dims_by_wordcount,
     word_basis,
 )
@@ -42,14 +46,72 @@ def _half_coefficient_spec() -> DGA:
     })
 
 
+def _dead_and_live_spec() -> DGA:
+    """A degree-1 letter with D = 0 next to one with D = xy - yx."""
+    return dga_from_json_dict({
+        "generators": [
+            {"id": "x", "degree": 0, "length": "1"},
+            {"id": "y", "degree": 0, "length": "1"},
+            {"id": "a", "degree": 1, "length": "2"},
+            {"id": "b", "degree": 1, "length": "2"},
+        ],
+        "diff": {"b": [{"coeff": "1", "word": ["x", "y"]}, {"coeff": "-1", "word": ["y", "x"]}]},
+    })
+
+
+def _random_spec(seed: int) -> DGA:
+    """Degrees 0, 1 and 2 with lengths in halves; D only on degree 1, some letters dead.
+
+    D(g) is a random combination of degree-0 words no longer than g, the
+    unit included, so D^2 = 0 holds trivially.
+    """
+    rng = random.Random(seed)
+
+    def halves(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), 2)
+
+    zero = [(f"x{k}", halves(2, 4)) for k in range(rng.randint(1, 3))]
+    gens = [{"id": gid, "degree": 0, "length": str(ell)} for gid, ell in zero]
+    diff = {}
+    for k in range(rng.randint(1, 3)):
+        gid, ell = f"g{k}", halves(2, 6)
+        gens.append({"id": gid, "degree": 1, "length": str(ell)})
+        terms = []
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            word, room = [], ell
+            for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+                x, x_ell = rng.choice(zero)
+                if x_ell > room:
+                    break
+                word.append(x)
+                room -= x_ell
+            coeff = rng.choice(("1", "-1", "2", "-3", "1/2"))
+            terms.append({"coeff": coeff, "word": word})
+        if terms:
+            diff[gid] = terms
+    gens.append({"id": "h", "degree": 2, "length": str(halves(2, 4))})
+    return dga_from_json_dict({"generators": gens, "diff": diff})
+
+
 CASES = {
     # Only the empty word, but bound + 1 = 2 is realizable and must be listed.
     "unlink23-1": (lambda: build_unlink(2, 3), Fraction(1)),
+    # The live degree-1 letters all have length 2: u·g never fits.
+    "hopf2-3/2": (lambda: build_hopf(2), Fraction(3, 2)),
     "hopf2-13/2": (lambda: build_hopf(2), Fraction(13, 2)),
     "hopf2-17/2": (lambda: build_hopf(2), Fraction(17, 2)),
+    "hopf2-del-13/2": (lambda: forget_F(build_hopf(2)), Fraction(13, 2)),
+    # Only the unit has degree 0.
+    "hopf3-13/2": (lambda: build_hopf(3), Fraction(13, 2)),
     "unlink23-41/2": (lambda: build_unlink(2, 3), Fraction(41, 2)),
     "unlink23-49/2": (lambda: build_unlink(2, 3), Fraction(49, 2)),
     "half-spec-27/4": (_half_coefficient_spec, Fraction(27, 4)),
+    "dead-live-spec-9/2": (_dead_and_live_spec, Fraction(9, 2)),
+    # Bounds k/2 + 1/4 are never a sum of halves.
+    **{
+        f"random-spec-{seed}": (lambda s=seed: _random_spec(s), Fraction(2 * (seed % 4) + 23, 4))
+        for seed in range(10)
+    },
 }
 
 
@@ -76,6 +138,18 @@ def test_h0_slices_match_oracle(case):
     dga, window, (basis0, basis1) = case
     want = dga_oracle.h0_dims_by_wordcount(dga, basis0, basis1, 4)
     assert h0_dims_by_wordcount(dga, window, 4) == want
+
+
+def test_dead_letter_skip_keeps_every_row(case):
+    dga, _, (basis0, basis1) = case
+    index = {w: i for i, w in enumerate(basis0)}
+    unskipped = []
+    for w in basis1:
+        img: dict = {}
+        _word_differential(dga, w, img, 1)
+        if img:
+            unskipped.append({index[ww]: c for ww, c in img.items()})
+    assert list(_diff_rows(dga, basis1, index)) == unskipped
 
 
 def test_differential_matches_leibniz_oracle(case):
