@@ -249,15 +249,23 @@ def cmd_chords(args) -> int:
 
 def cmd_cord(args) -> int:
     t0 = time.time()
-    pres = cord.builtin_presentation(args.builtin, args.kmax)
+    if args.presentation:
+        pres = cord.load_presentation(args.presentation)
+    else:
+        pres = cord.builtin_presentation(args.builtin, args.kmax)
     dims = cord.quotient_dims_by_wordcount(pres, args.wmax)
     print(f"cord algebra slices (w=0..{args.wmax}): {dims}")
-    if not cord.truncation_stable(args.builtin, args.kmax, args.wmax):
+    if args.presentation:
+        # A file has no kmax to vary and no built-in DGA to compare with.
+        print("presentation file: kmax truncation check skipped")
+        if args.compare:
+            print("presentation file: --compare skipped")
+    elif not cord.truncation_stable(args.builtin, args.kmax, args.wmax):
         print("error: slice dims unstable under kmax -> kmax+2", file=sys.stderr)
         _write_manifest(args, "cord", _params(args), [], t0)
         return EXIT_TRUNCATION
     rows = None
-    if args.compare:
+    if args.compare and not args.presentation:
         if args.builtin == "hopf_link":
             dga = free_dga.build_hopf(2)
             window = free_dga.LengthWindow(Fraction(13, 2))
@@ -287,7 +295,10 @@ def cmd_cord(args) -> int:
                     w.writerow([i, dim])
         outputs.append(args.csv)
     if args.json:
-        result = {"builtin": args.builtin, "kmax": args.kmax, "dims": dims}
+        if args.presentation:
+            result = {"presentation": args.presentation, "dims": dims}
+        else:
+            result = {"builtin": args.builtin, "kmax": args.kmax, "dims": dims}
         if rows is not None:
             result["comparison"] = [
                 {"w": r[0], "cord_dim": r[1], "h0_dim": r[2], "match": r[3]} for r in rows
@@ -301,11 +312,16 @@ def cmd_cord(args) -> int:
 
 def cmd_specseq(args) -> int:
     t0 = time.time()
-    dga = _load_or_build_dga(args)
-    if args.forget_f:
-        dga = free_dga.forget_F(dga)
-    window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-    fc = specseq.from_dga(dga, window)
+    if args.complex:
+        if args.forget_f or args.a is not None:
+            raise free_dga.NotApplicable("--forget-f and --a apply to a DGA, not to --complex")
+        fc = specseq.load_complex(args.complex)
+    else:
+        dga = _load_or_build_dga(args)
+        if args.forget_f:
+            dga = free_dga.forget_F(dga)
+        window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
+        fc = specseq.from_dga(dga, window)
     tables = [specseq.page(fc, r) for r in range(1, args.rmax + 1)]
     einf = specseq.einfinity(fc)
     converged = specseq.convergence_check(fc)
@@ -376,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chords)
 
     p = sub.add_parser("cord", help="cord algebra slice dimensions")
-    p.add_argument("--builtin", choices=["unknot", "hopf_link", "unlink2"], required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=["unknot", "hopf_link", "unlink2"])
+    source.add_argument("--presentation", help="cord presentation JSON file")
     p.add_argument("--wmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--compare", action="store_true", help="compare with DGA H_0")
@@ -386,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specseq", help="weight-filtration spectral sequence pages")
     p.add_argument("--builtin", choices=["hopf", "unlink"])
     p.add_argument("--spec", help="DGA JSON file")
+    p.add_argument("--complex", help="filtered complex JSON file, instead of a DGA")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--z2star", type=_fraction, default=Fraction(3))
     p.add_argument("--a", type=_fraction, default=None)
@@ -402,6 +421,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "dga-homology" and not (args.degree or args.degree_range or args.h0):
         parser.error("dga-homology needs --degree, --degree-range or --h0")
+    if args.command == "specseq" and args.complex and (args.spec or args.builtin):
+        parser.error("specseq --complex excludes --spec and --builtin")
     try:
         if getattr(args, "wmax", 0) < 0:
             raise free_dga.ParameterOutOfRange("wmax must be nonnegative")

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import jsonio
 from .exactlin import RowReducer, quotient_slice_dims
 
 Word = tuple[str, ...]
@@ -471,21 +472,8 @@ def presentation_to_json_dict(pres: CordPresentation) -> dict:
     }
 
 
-_REQUIRED = object()
-
-
-def _field(record, key: str, kind: type, what: str, default=_REQUIRED):
-    """``record[key]``, which must be of exactly type ``kind`` (so no bool for int)."""
-    if not isinstance(record, Mapping):
-        raise InvalidPresentation(f"{what} is not a JSON object: {record!r}")
-    if key not in record:
-        if default is _REQUIRED:
-            raise InvalidPresentation(f"{what} lacks the key {key!r}")
-        return default
-    value = record[key]
-    if type(value) is not kind:
-        raise InvalidPresentation(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
-    return value
+def _field(record, key: str, kind: type, what: str, default=jsonio.REQUIRED):
+    return jsonio.field(record, key, kind, what, InvalidPresentation, default)
 
 
 def presentation_from_json_dict(data: Mapping) -> CordPresentation:
@@ -527,5 +515,4 @@ def save_presentation(pres: CordPresentation, path) -> None:
 
 
 def load_presentation(path) -> CordPresentation:
-    with open(path) as fh:
-        return presentation_from_json_dict(json.load(fh))
+    return presentation_from_json_dict(jsonio.load(path, InvalidPresentation))

@@ -9,8 +9,9 @@ negation) and moves to ``fractions.Fraction`` only when it divides by a
 lead that is not +-1; the built-in differentials never need it.
 
 ``homology_dims`` is the one place where homology dimensions are formed
-from block ranks, and ``quotient_slice_dims`` reads filtration slices of a
-quotient off pivot positions.  Matrices store a ``(row, col) -> int or
+from block ranks, taken from the top degree down with clearing, and
+``quotient_slice_dims`` reads filtration slices of a quotient off pivot
+positions.  Matrices store a ``(row, col) -> int or
 Fraction`` map with no explicit zeros (``int`` entries stay ``int``, as in
 ``RowReducer``); row vectors are plain ``{col: int or Fraction}`` dicts.
 Reduced row echelon form is canonical for a given row space, which makes
@@ -86,6 +87,11 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
+def _clean(row: Mapping) -> dict:
+    """A fresh copy of ``row`` without zeros, entries ``int`` or ``Fraction``."""
+    return {c: v if type(v) is int else as_fraction(v) for c, v in row.items() if v != 0}
+
+
 class RowReducer:
     """Incremental Gaussian elimination keeping one pivot row per column.
 
@@ -102,18 +108,18 @@ class RowReducer:
         self.pivots: dict = {}  # pivot column -> row dict (leading coeff 1)
         self.col_key = col_key
 
-    def _leading(self, row: dict):
-        return min(row, key=self.col_key)
-
     def reduce(self, row: Mapping) -> dict:
         """Return the residual of ``row`` after reduction, without inserting."""
-        row = {c: v if type(v) is int else as_fraction(v) for c, v in row.items() if v != 0}
-        pivots = self.pivots
+        return self._reduce(_clean(row))[0]
+
+    def _reduce(self, row: dict) -> tuple[dict, object]:
+        """Reduce ``row`` in place; return it and its leading column (None when zero)."""
+        pivots, key = self.pivots, self.col_key
         while row:
-            lead = self._leading(row)
+            lead = min(row, key=key)
             piv = pivots.get(lead)
             if piv is None:
-                return row
+                return row, lead
             coeff = row[lead]
             for c, v in piv.items():
                 nv = row.get(c, 0) - coeff * v
@@ -121,14 +127,19 @@ class RowReducer:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-        return row
+        return row, None
 
-    def add(self, row: Mapping) -> bool:
-        """Reduce and insert; True if the row enlarged the span."""
-        res = self.reduce(row)
+    def add(self, row: Mapping, owned: bool = False) -> bool:
+        """Reduce and insert; True if the row enlarged the span.
+
+        ``owned`` hands over a fresh dict of nonzero ``int`` or ``Fraction``
+        entries, which is reduced in place and may be kept as a pivot row;
+        otherwise the row is copied, its zeros dropped and its entries made
+        exact first.
+        """
+        res, lead = self._reduce(row if owned else _clean(row))
         if not res:
             return False
-        lead = self._leading(res)
         v = res[lead]
         if v == -1:
             res = {c: -x for c, x in res.items()}
@@ -187,21 +198,38 @@ def quotient_slice_dims(slice_sizes: list[int], pivot_weights: Iterable[int]) ->
 def homology_dims(sizes: Mapping[int, int], blocks: Iterable) -> dict[int, int]:
     """dim H_n = sizes[n] - rank d_n - rank d_(n+1) for each degree n of ``sizes``.
 
-    ``blocks`` yields ``(n, rows)`` with the rows of d_n, the boundary out
-    of degree n (empty rows are skipped); a degree it never names has
-    d_n = 0.  Each block is ranked in its own call, so no reducer outlives
-    its block.
+    ``blocks`` yields ``(n, rows)`` for d_n, the boundary out of degree n;
+    ``rows(cleared)`` gives the rows of d_n (empty rows are skipped) from
+    the cells of degree n that are not in ``cleared``.  Each row is a fresh
+    dict of nonzero ``int`` or ``Fraction`` entries, consumed here, and a
+    cell is named by its column in d_(n+1).  A degree never named has
+    d_n = 0.  Each block gets its own reducer.
+
+    Blocks are ranked from the top degree down, with clearing: ``cleared``
+    holds the pivot columns of d_(n+1) when that block was just ranked, and
+    their rows are left out of d_n without changing its rank:
+
+    * a pivot row R of d_(n+1) is a boundary, so D(R) = 0;
+    * R's lead has coefficient 1 and its other columns come later, so D of
+      the lead is a combination of the D-rows of R's later columns;
+    * by induction from the last column down, the rows of the cells that
+      are no pivot already span the image of d_n.
     """
-    ranks = {n: _block_rank(rows) for n, rows in blocks}
+    ranks = _cleared_ranks(blocks)
     return {n: size - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, size in sizes.items()}
 
 
-def _block_rank(rows: Iterable[Mapping]) -> int:
-    red = RowReducer()
-    for row in rows:
-        if row:
-            red.add(row)
-    return red.rank
+def _cleared_ranks(blocks: Iterable) -> dict[int, int]:
+    """Rank of each block of ``homology_dims``, top degree first, with clearing."""
+    ranks: dict[int, int] = {}
+    above, pivots = None, ()
+    for n, rows in sorted(blocks, key=lambda block: -block[0]):
+        red = RowReducer()
+        for row in rows(pivots if above == n + 1 else ()):
+            if row:
+                red.add(row, owned=True)
+        ranks[n], above, pivots = red.rank, n, set(red.pivots)
+    return ranks
 
 
 class Subspace:

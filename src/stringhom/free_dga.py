@@ -27,7 +27,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -259,10 +259,12 @@ class DGA:
         return f"DGA({self.name or 'anonymous'}, {len(self.generators)} generators)"
 
 
-def _word_differential(dga: DGA, word: Word, out: dict, coeff) -> None:
+def _word_differential(dga: DGA, word: Word, out: dict, coeff, index: dict | None = None):
     """Accumulate coeff * D(word) into ``out`` (word -> int or Fraction).
 
     Coefficients stay ``int`` while ``coeff`` and the D-terms are integral.
+    With ``index``, ``out`` is keyed by each word's number there instead; a
+    word not yet numbered gets the next free number.
     """
     letters = dga._letters
     odd_prefix = 0
@@ -276,6 +278,8 @@ def _word_differential(dga: DGA, word: Word, out: dict, coeff) -> None:
             left, right = word[:i], word[i + 1 :]
             for tw, tc in terms:
                 key = left + tw + right
+                if index is not None:
+                    key = index.setdefault(key, len(index))
                 val = out.get(key, 0) + sign_coeff * tc
                 if val:
                     out[key] = val
@@ -480,21 +484,93 @@ def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list[Word]:
     return _enumerate_words(dga, window, degree)
 
 
-def _diff_rows(dga: DGA, source: Iterable[Word], index: Mapping[Word, int]):
+def _diff_rows(dga: DGA, source: Iterable[Word], index: dict[Word, int]):
     """Nonzero rows of D on ``source``, columns numbered by ``index``.
 
-    Terms outside ``index`` cannot occur when it holds the whole target
-    degree of a valid window: the differential never increases length.
-    A word whose letters all have D = 0 is skipped: it gives no row.
+    A target word missing from ``index`` gets the next free number, so an
+    index that starts empty numbers the columns on first sight; one that
+    already holds the whole target degree of a valid window is never
+    extended, since the differential never increases length.  A word whose
+    letters all have D = 0 is skipped: it gives no row.
     """
     dead = dga._dead
     for w in source:
         if dead.issuperset(w):
             continue
-        img: dict = {}
-        _word_differential(dga, w, img, 1)
-        if img:
-            yield {index[ww]: c for ww, c in img.items()}
+        row: dict = {}
+        _word_differential(dga, w, row, 1, index)
+        if row:
+            yield row
+
+
+def _degree_counts(moves: list, cap: int | None) -> dict[int, int]:
+    """Number of words per degree along the ``_moves`` table, without listing them.
+
+    ``counts[r][degree]`` counts the words of length rank r and that degree.
+    Every move raises the rank, so one pass in rank order pushes each count
+    forward by each letter.  Degrees above ``cap`` are dropped, which is
+    sound only when no letter has negative degree.
+    """
+    counts: list[dict[int, int]] = [{} for _ in moves]
+    counts[0][0] = 1
+    total: dict[int, int] = {}
+    for here, row in zip(counts, moves):
+        for deg, c in here.items():
+            total[deg] = total.get(deg, 0) + c
+        for _, gdeg, nr in row:
+            there = counts[nr]
+            for deg, c in here.items():
+                ndeg = deg + gdeg
+                if cap is None or ndeg <= cap:
+                    there[ndeg] = there.get(ndeg, 0) + c
+    return dict(sorted(total.items()))
+
+
+def _live_words(dga: DGA, moves: list, degrees: set[int]) -> dict[int, list[Word]]:
+    """Words of the given degrees that contain a letter with D != 0.
+
+    Depth-first along ``_moves``: first the prefixes made of dead letters
+    (D = 0), then, from each live letter appended to one, every word that
+    continues it.  A prefix is kept only while some suffix that fits in the
+    window can still complete it to a wanted word: per rank, the degrees of
+    all suffixes that fit and of those with a live letter are tabulated
+    first, from the top rank down.  That prunes above the largest wanted
+    degree under a nonnegative grading, and drops dead prefixes with no
+    room left for a live letter; with no live letter nothing is walked.
+    """
+    dead = dga._dead
+    tails: list[set[int]] = [set() for _ in moves]
+    live_tails: list[set[int]] = [set() for _ in moves]
+    for r in reversed(range(len(moves))):
+        tails[r].add(0)
+        for gid, gdeg, nr in moves[r]:
+            tails[r].update(gdeg + t for t in tails[nr])
+            live_tails[r].update(gdeg + t for t in (live_tails[nr] if gid in dead else tails[nr]))
+    # Degrees a prefix ending at rank r may have and still complete to a
+    # wanted word; a prefix with no live letter still needs one.
+    fits_dead = [{s - t for s in degrees for t in ts} for ts in live_tails]
+    fits = [{s - t for s in degrees for t in ts} for ts in tails]
+    found: dict[int, list[Word]] = {p: [] for p in sorted(degrees)}
+    prefixes = [(UNIT, 0, 0)] if 0 in fits_dead[0] else []
+    words = []
+    while prefixes:
+        word, deg, r = prefixes.pop()
+        for gid, gdeg, nr in moves[r]:
+            ndeg = deg + gdeg
+            if gid in dead:
+                if ndeg in fits_dead[nr]:
+                    prefixes.append((word + (gid,), ndeg, nr))
+            elif ndeg in fits[nr]:
+                words.append((word + (gid,), ndeg, nr))
+    while words:
+        word, deg, r = words.pop()
+        if deg in found:
+            found[deg].append(word)
+        for gid, gdeg, nr in moves[r]:
+            ndeg = deg + gdeg
+            if ndeg in fits[nr]:
+                words.append((word + (gid,), ndeg, nr))
+    return found
 
 
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
@@ -507,29 +583,43 @@ def homology_dims_all(
 ) -> dict[int, int]:
     """Homology dimensions at ``degrees``, or at every populated degree.
 
-    Enumerates the window basis once (pruned above the largest requested
-    degree + 1 when the grading is nonnegative), buckets it by degree, and
-    ranks each needed boundary block a single time; the block from degree p
-    to p - 1 serves both H_p and H_(p-1).
+    No word list is built.  The basis size of each degree is counted by one
+    dynamic program over the ``_moves`` table, ``counts[rank][degree]``
+    pushed forward by each letter (capped at the largest requested degree
+    + 1 when the grading is nonnegative).  Rows of D come only from words
+    with a live letter (D != 0) in a degree that sources a needed block,
+    found in one walk; each block numbers its columns on first sight.  The
+    block from degree p to p - 1 serves both H_p and H_(p-1), and
+    ``exactlin.homology_dims`` ranks the blocks from the top down with
+    clearing.  A pivot row R of d_(p+1) is a boundary, so D(R) = 0.  D of
+    R's lead is then a combination of the D-rows of R's later columns, so
+    the lead's row of d_p is left out without changing the rank.
     """
     window.ensure_valid(dga)
     wanted = None if degrees is None else sorted(set(degrees))
     if wanted == []:
         return {}
-    by_degree: dict[int, list[Word]] = {}
-    degree_of = {g.id: g.degree for g in dga.generators}
-    # Enumeration is already canonically ordered; bucketing preserves it.
-    for w in _enumerate_words(dga, window, None, wanted[-1] + 1 if wanted else None):
-        by_degree.setdefault(sum(map(degree_of.__getitem__, w)), []).append(w)
+    moves = _moves(dga, window)
+    sizes = _degree_counts(moves, wanted[-1] + 1 if wanted and dga.nonneg_graded else None)
     if wanted is None:
-        wanted = sorted(by_degree)
+        wanted = list(sizes)
     # The block of degree p is D from degree p to degree p - 1.
-    blocks = (
-        (p, _diff_rows(dga, by_degree[p], {w: i for i, w in enumerate(by_degree[p - 1])}))
-        for p in sorted({p + k for p in wanted for k in (0, 1)})
-        if p in by_degree and p - 1 in by_degree
+    sources = _live_words(
+        dga, moves,
+        {p + k for p in wanted for k in (0, 1) if p + k in sizes and p + k - 1 in sizes},
     )
-    return exactlin.homology_dims({p: len(by_degree.get(p, ())) for p in wanted}, blocks)
+    # columns[q] numbers the degree-q words on first sight as columns of
+    # the block of degree q + 1; the block of degree q reads it to find its
+    # cleared sources and then drops it, as it drops its own sources.
+    columns: dict[int, dict[Word, int]] = {}
+
+    def rows(p: int, cleared):
+        above = columns.pop(p, {})
+        live = (w for w in sources.pop(p) if above.get(w) not in cleared)
+        return _diff_rows(dga, live, columns.setdefault(p - 1, {}))
+
+    blocks = [(p, partial(rows, p)) for p in sources]
+    return exactlin.homology_dims({p: sizes.get(p, 0) for p in wanted}, blocks)
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:
@@ -718,14 +808,15 @@ def forget_F(dga: DGA) -> DGA:
 
 
 def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
-    """Per-degree counts of words built only from weight-1 generators."""
+    """Per-degree counts of words built only from weight-1 generators.
+
+    Counted along the ``_moves`` table restricted to weight-1 letters;
+    degrees with no such word are absent.
+    """
     window.ensure_valid(dga)
-    counts: dict[int, int] = {}
-    for w in _enumerate_words(dga, window, None):
-        if all(dga.gen(g).weight == 1 for g in w):
-            d = dga.word_degree(w)
-            counts[d] = counts.get(d, 0) + 1
-    return counts
+    light = {g.id for g in dga.generators if g.weight == 1}
+    moves = [[m for m in row if m[0] in light] for row in _moves(dga, window)]
+    return _degree_counts(moves, None)
 
 
 # -- JSON interface --------------------------------------------------------

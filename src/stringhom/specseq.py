@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import exactlin, free_dga
+from . import exactlin, free_dga, jsonio
 from .exactlin import RowReducer, SparseMatrix, as_fraction
 
 
@@ -93,7 +93,10 @@ class FilteredComplex:
         cols = self.boundary.col_dicts()
         return exactlin.homology_dims(
             {n: len(idxs) for n, idxs in by_degree.items()},
-            ((n, (cols[j] for j in idxs)) for n, idxs in by_degree.items()),
+            [
+                (n, lambda cleared, idxs=idxs: (cols[j] for j in idxs if j not in cleared))
+                for n, idxs in by_degree.items()
+            ],
         )
 
     def persistence_pairs(self) -> tuple[list[tuple[int, int]], list[int]]:
@@ -227,10 +230,13 @@ def associated_graded_homology(fc: FilteredComplex) -> dict[tuple[int, int], int
             by_degree.setdefault(fc.cells[j].degree, []).append(j)
         dims = exactlin.homology_dims(
             {n: len(js) for n, js in by_degree.items()},
-            (
-                (n, ({sub[i]: v for i, v in cols[j].items() if i in sub} for j in js))
+            [
+                (n, lambda cleared, js=js: (
+                    {sub[i]: v for i, v in cols[j].items() if i in sub}
+                    for j in js if sub[j] not in cleared
+                ))
                 for n, js in by_degree.items()
-            ),
+            ],
         )
         for n, dim in dims.items():
             if dim:
@@ -255,20 +261,41 @@ def complex_to_json_dict(fc: FilteredComplex) -> dict:
 
 
 def complex_from_json_dict(data: Mapping) -> FilteredComplex:
+    """Strict inverse of ``complex_to_json_dict``.
+
+    ``cells`` is required, each cell with a string ``id`` and integer
+    ``degree`` and ``filtration``; ``boundary`` (default empty) holds
+    records with string ``from`` and ``to`` naming cells and a ``coeff``,
+    a rational as a string or an integer.  A missing key, a field of the
+    wrong JSON type, an unknown cell, a repeated record, a coefficient that
+    is not a rational, or a boundary that fails ``validate`` raises
+    ``FilteredComplexError``.
+    """
+
+    def get(record, key, kinds, what, default=jsonio.REQUIRED):
+        return jsonio.field(record, key, kinds, what, FilteredComplexError, default)
+
     cells = [
-        Cell(str(c["id"]), int(c["degree"]), int(c["filtration"]))
-        for c in data["cells"]
+        Cell(get(c, "id", str, "cell"), get(c, "degree", int, "cell"),
+             get(c, "filtration", int, "cell"))
+        for c in get(data, "cells", list, "complex")
     ]
     index = {c.id: i for i, c in enumerate(cells)}
     entries = {}
-    for rec in data.get("boundary", []):
-        src, dst = str(rec["from"]), str(rec["to"])
+    for rec in get(data, "boundary", list, "complex", []):
+        src, dst = get(rec, "from", str, "boundary record"), get(rec, "to", str, "boundary record")
         if src not in index or dst not in index:
             raise FilteredComplexError(f"boundary record {src} -> {dst} names an unknown cell")
         key = (index[dst], index[src])
         if key in entries:
             raise FilteredComplexError(f"duplicate boundary record {src} -> {dst}")
-        entries[key] = as_fraction(str(rec["coeff"]))
+        coeff = get(rec, "coeff", (str, int), "boundary record")
+        try:
+            entries[key] = as_fraction(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FilteredComplexError(
+                f"boundary record {src} -> {dst}: coefficient {coeff!r} is not a rational"
+            ) from exc
     return FilteredComplex(cells, SparseMatrix(len(cells), len(cells), entries))
 
 
@@ -278,8 +305,7 @@ def save_complex(fc: FilteredComplex, path) -> None:
 
 
 def load_complex(path) -> FilteredComplex:
-    with open(path) as fh:
-        return complex_from_json_dict(json.load(fh))
+    return complex_from_json_dict(jsonio.load(path, FilteredComplexError))
 
 
 def pages_to_csv(tables: list[PageTable], path) -> None:

@@ -10,7 +10,13 @@ coefficients, and reads degree-0 slices through
 * ``leibniz_differential`` writes D(word) out as a sum of ``AlgebraElement``
   products u·D(g)·v with ``Fraction`` coefficients;
 * ``h0_dims_by_wordcount`` counts "pivots beyond w" the way the slices were
-  first computed.
+  first computed;
+* ``homology_dims_all`` and ``chord_word_counts`` read every word of the
+  window from ``_enumerate_words``, as ``free_dga`` did before it counted
+  bases along the length table.  Homology keys each row of
+  ``_word_differential`` by word, against a full index of the target
+  degree, and ranks each block whole: no counting, live-word walk, column
+  numbering on first sight or clearing is shared.
 
 They are far too slow for the command line.
 """
@@ -18,7 +24,13 @@ They are far too slow for the command line.
 from __future__ import annotations
 
 from stringhom.exactlin import RowReducer
-from stringhom.free_dga import DGA, AlgebraElement, LengthWindow
+from stringhom.free_dga import (
+    DGA,
+    AlgebraElement,
+    LengthWindow,
+    _enumerate_words,
+    _word_differential,
+)
 from stringhom.lengths import Surd
 
 
@@ -109,3 +121,41 @@ def h0_dims_by_wordcount(dga: DGA, basis0: list, basis1: list, wmax: int) -> lis
         dims.append(f_w - prev)
         prev = f_w
     return dims
+
+
+def homology_dims_all(dga: DGA, window: LengthWindow, degrees=None) -> dict[int, int]:
+    """Homology dimensions from the enumerated, degree-bucketed window basis."""
+    window.ensure_valid(dga)
+    wanted = None if degrees is None else sorted(set(degrees))
+    if wanted == []:
+        return {}
+    by_degree: dict[int, list] = {}
+    degree_of = {g.id: g.degree for g in dga.generators}
+    # Enumeration is already canonically ordered; bucketing preserves it.
+    for w in _enumerate_words(dga, window, None, wanted[-1] + 1 if wanted else None):
+        by_degree.setdefault(sum(map(degree_of.__getitem__, w)), []).append(w)
+    if wanted is None:
+        wanted = sorted(by_degree)
+    # The block of degree p is D from degree p to degree p - 1.
+    ranks = {}
+    for p in sorted({p + k for p in wanted for k in (0, 1)}):
+        if p in by_degree and p - 1 in by_degree:
+            index = {w: i for i, w in enumerate(by_degree[p - 1])}
+            red = RowReducer()
+            for w in by_degree[p]:
+                img: dict = {}
+                _word_differential(dga, w, img, 1)
+                if img:
+                    red.add({index[ww]: c for ww, c in img.items()})
+            ranks[p] = red.rank
+    return {p: len(by_degree.get(p, ())) - ranks.get(p, 0) - ranks.get(p + 1, 0) for p in wanted}
+
+
+def chord_word_counts(dga: DGA, words: list) -> dict[int, int]:
+    """Per-degree counts of the words, in enumeration order, built only from weight-1 generators."""
+    counts: dict[int, int] = {}
+    for w in words:
+        if all(dga.gen(g).weight == 1 for g in w):
+            d = dga.word_degree(w)
+            counts[d] = counts.get(d, 0) + 1
+    return counts

@@ -47,14 +47,18 @@ def test_tracer_installs_counts_and_restores():
         window = free_dga.LengthWindow(Fraction(9, 2))
         free_dga.homology_dims_all(dga, window, [0, 1])
         free_dga.h0_dims_by_wordcount(dga, window, 3)
+        # Homology counts its basis and H_0 slices walk the degree-0 words
+        # themselves: neither enumerates.
+        homology = tracer.metrics()
+        free_dga.word_basis(dga, 1, window)
     finally:
         tracer.uninstall()
     for (owner, attr), raw in zip(HOOKS, originals):
         assert inspect.getattr_static(owner, attr) is raw, attr
+    assert homology["free_dga.enumerations"] == 0
+    assert homology["free_dga.diff_terms"] > 0
+    assert homology["exactlin.rows_added"] > 0
+    assert homology["free_dga.validate_s"] > 0
     metrics = tracer.metrics()
-    # Only homology_dims_all enumerates: H_0 slices walk the degree-0 words themselves.
     assert metrics["free_dga.enumerations"] == 1
     assert metrics["free_dga.words"] > 0
-    assert metrics["free_dga.diff_terms"] > 0
-    assert metrics["exactlin.rows_added"] > 0
-    assert metrics["free_dga.validate_s"] > 0

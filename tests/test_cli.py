@@ -4,11 +4,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import stringhom
-from stringhom import chords, cli, free_dga
+from stringhom import chords, cli, cord, free_dga, specseq
 
 
 def run(argv, capsys):
@@ -230,6 +231,141 @@ class TestSpecseq:
         )
         assert code == 0
         assert "convergence to total homology: OK" in out
+
+
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _complex_data():
+    fc = specseq.from_dga(free_dga.build_hopf(2), free_dga.LengthWindow(Fraction(7, 2)))
+    return specseq.complex_to_json_dict(fc)
+
+
+def _presentation_data():
+    return cord.presentation_to_json_dict(cord.builtin_presentation("hopf_link", 2))
+
+
+def _edit(change):
+    """Apply ``change`` to a copy of the data and return the copy."""
+    def edited(data):
+        change(data)
+        return data
+    return edited
+
+
+class TestFileInputs:
+    """``specseq --complex`` and ``cord --presentation``: one run per loader
+    failure mode, each a typed error with exit 6, and one run that works."""
+
+    def check_error(self, argv, tmp_path, capsys, match):
+        code, _, err = run(argv + ["--outdir", str(tmp_path)], capsys)
+        assert code == 6
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: bad parameter: ")
+        assert match in err
+
+    def test_complex_pages_match_the_dga_run(self, tmp_path, capsys):
+        path = _write_json(tmp_path / "fc.json", _complex_data())
+        code, out, _ = run(["specseq", "--complex", path, "--rmax", "2",
+                            "--csv", str(tmp_path / "file.csv"), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "convergence to total homology: OK" in out
+        code, _, _ = run(["specseq", "--builtin", "hopf", "--a", "3.5", "--rmax", "2",
+                          "--csv", str(tmp_path / "dga.csv"), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        assert (tmp_path / "file.csv").read_text() == (tmp_path / "dga.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("{not json", "cannot read"),
+            (None, "cannot read"),
+            (_edit(lambda d: d.pop("cells")), "lacks the key 'cells'"),
+            (_edit(lambda d: d["cells"][0].pop("filtration")), "lacks the key 'filtration'"),
+            (_edit(lambda d: d["cells"][0].update(degree="0")), "must be int"),
+            (_edit(lambda d: d["cells"].__setitem__(0, ["1", 0, 0])), "is not a JSON object"),
+            (_edit(lambda d: d["boundary"][0].update(to="nowhere")), "unknown cell"),
+            (_edit(lambda d: d["boundary"].append(dict(d["boundary"][0]))), "duplicate"),
+            (_edit(lambda d: d["boundary"][0].update(coeff="x")), "is not a rational"),
+            (_edit(lambda d: d["boundary"][0].update(coeff=1.5)), "must be str or int"),
+            (_edit(lambda d: next(c for c in d["cells"] if c["id"] == d["boundary"][0]["from"])
+                   .update(degree=7)), "degree drop is not 1"),
+        ],
+        ids=["not_json", "missing_file", "no_cells", "no_filtration", "degree_str",
+             "cell_not_object", "unknown_cell", "duplicate_record", "bad_coeff",
+             "float_coeff", "invalid_boundary"],
+    )
+    def test_complex_loader_errors(self, text, match, tmp_path, capsys):
+        path = tmp_path / "fc.json"
+        if isinstance(text, str):
+            path.write_text(text)
+        elif text is not None:
+            _write_json(path, text(_complex_data()))
+        self.check_error(["specseq", "--complex", str(path)], tmp_path, capsys, match)
+
+    @pytest.mark.parametrize("extra", [["--spec", "x.json"], ["--builtin", "hopf"]],
+                             ids=["spec", "builtin"])
+    def test_complex_excludes_dga_inputs(self, extra, tmp_path, capsys):
+        path = _write_json(tmp_path / "fc.json", _complex_data())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["specseq", "--complex", path, *extra, "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--complex excludes" in capsys.readouterr().err
+
+    def test_complex_with_window_exit_6(self, tmp_path, capsys):
+        path = _write_json(tmp_path / "fc.json", _complex_data())
+        self.check_error(["specseq", "--complex", path, "--a", "3.5"], tmp_path, capsys,
+                         "not to --complex")
+
+    def test_presentation_matches_builtin(self, tmp_path, capsys):
+        path = _write_json(tmp_path / "p.json", _presentation_data())
+        code, out, _ = run(["cord", "--presentation", path, "--wmax", "3", "--compare",
+                            "--json", str(tmp_path / "p_out.json"), "--outdir", str(tmp_path)],
+                           capsys)
+        assert code == 0
+        assert "kmax truncation check skipped" in out
+        assert "--compare skipped" in out
+        assert "MATCH" not in out
+        code, builtin_out, _ = run(["cord", "--builtin", "hopf_link", "--wmax", "3",
+                                    "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == builtin_out.splitlines()[0]
+        result = json.loads((tmp_path / "p_out.json").read_text())
+        assert result == {"presentation": path, "dims": [1, 2, 2, 2]}
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("[1, 2", "cannot read"),
+            (None, "cannot read"),
+            (_edit(lambda d: d.pop("generators")), "lacks the key 'generators'"),
+            (_edit(lambda d: d["generators"][0].update(source="0")), "must be int"),
+            (_edit(lambda d: d["generators"].__setitem__(0, ["s", 0, 0])), "is not a JSON object"),
+            (_edit(lambda d: d["skein"][0].update(left="nowhere")), "unknown generator nowhere"),
+            (_edit(lambda d: d["generators"].append(dict(d["generators"][0]))), "duplicate"),
+            (_edit(lambda d: d.update(bound=2)), "exceeds presentation bound"),
+        ],
+        ids=["not_json", "missing_file", "no_generators", "source_str", "record_not_object",
+             "unknown_skein_generator", "duplicate_generator", "wmax_beyond_bound"],
+    )
+    def test_presentation_loader_errors(self, text, match, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        if isinstance(text, str):
+            path.write_text(text)
+        elif text is not None:
+            _write_json(path, text(_presentation_data()))
+        self.check_error(["cord", "--presentation", str(path), "--wmax", "3"],
+                         tmp_path, capsys, match)
+
+    def test_presentation_excludes_builtin(self, tmp_path, capsys):
+        path = _write_json(tmp_path / "p.json", _presentation_data())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cord", "--presentation", path, "--builtin", "hopf_link",
+                      "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestErrorExits:

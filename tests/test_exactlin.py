@@ -184,8 +184,25 @@ class TestKernel:
 def test_homology_dims_from_blocks():
     # An interval: d_1 sends the edge to the difference of its two ends.  The
     # 2-cell is a cycle (empty row), and d_0 is named by no block.
-    blocks = iter([(1, iter([{0: 1, 1: -1}])), (2, iter([{}]))])
+    blocks = iter([(1, lambda cleared: iter([{0: 1, 1: -1}])), (2, lambda cleared: iter([{}]))])
     assert homology_dims({0: 2, 1: 1, 2: 1}, blocks) == {0: 1, 1: 0, 2: 1}
+
+
+def test_homology_dims_clears_pivot_cells():
+    # A filled triangle: vertices 0, 1, 2, edges 3 = [0,1], 4 = [1,2], 5 = [0,2]
+    # and the face 6 with boundary 3 + 4 - 5, whose pivot column is edge 3.
+    edges = {3: {1: 1, 0: -1}, 4: {2: 1, 1: -1}, 5: {2: 1, 0: -1}}
+    seen = {}
+
+    def rows(n, cells, boundary):
+        def given(cleared):
+            seen[n] = set(cleared)
+            return (dict(boundary[c]) for c in cells if c not in cleared)
+        return n, given
+
+    blocks = [rows(1, [3, 4, 5], edges), rows(2, [6], {6: {3: 1, 4: 1, 5: -1}})]
+    assert homology_dims({0: 3, 1: 3, 2: 1}, blocks) == {0: 1, 1: 0, 2: 0}
+    assert seen == {2: set(), 1: {3}}
 
 
 @given(

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from page_oracle import oracle_pages
 
-from stringhom import free_dga
+from stringhom import exactlin, free_dga
 from stringhom.cli import _valid_window
-from stringhom.exactlin import SparseMatrix
+from stringhom.exactlin import RowReducer, SparseMatrix
 from stringhom.lengths import Surd
 from stringhom.specseq import (
     Cell,
@@ -334,6 +334,53 @@ class TestPersistenceOracle:
         for i, j in pairs:
             assert cells[i].degree == cells[j].degree - 1
             assert cells[i].filtration <= cells[j].filtration
+
+
+RANDOM_COMPLEXES = [(seed, ncells, 1) for seed in range(12) for ncells in (10, 12)] + [
+    (seed, 10, 0) for seed in range(6)
+]
+
+
+def _cleared_and_whole_ranks(fc):
+    """Block ranks of ``fc`` with clearing, without it, and the cells clearing skipped."""
+    by_degree: dict[int, list[int]] = {}
+    for i, c in enumerate(fc.cells):
+        by_degree.setdefault(c.degree, []).append(i)
+    cols = fc.boundary.col_dicts()
+    skipped = []
+
+    def rows(idxs, cleared):
+        skipped.extend(j for j in idxs if j in cleared)
+        return (dict(cols[j]) for j in idxs if j not in cleared)
+
+    cleared = exactlin._cleared_ranks(
+        [(n, lambda c, idxs=idxs: rows(idxs, c)) for n, idxs in by_degree.items()]
+    )
+    whole = {}
+    for n, idxs in by_degree.items():
+        red = RowReducer()
+        for j in idxs:
+            if cols[j]:
+                red.add(cols[j])
+        whole[n] = red.rank
+    return cleared, whole, skipped
+
+
+class TestClearing:
+    """Block ranks with clearing equal the ranks of the whole blocks, on the
+    30 random complexes of ``TestPersistenceOracle``."""
+
+    @pytest.mark.parametrize("seed,ncells,which", RANDOM_COMPLEXES)
+    def test_cleared_ranks(self, seed, ncells, which):
+        cleared, whole, _ = _cleared_and_whole_ranks(random_filtered_pair(seed, ncells)[which])
+        assert cleared == whole
+
+    def test_every_complex_clears_a_cell(self):
+        skipped = [
+            _cleared_and_whole_ranks(random_filtered_pair(seed, ncells)[which])[2]
+            for seed, ncells, which in RANDOM_COMPLEXES
+        ]
+        assert all(skipped)
 
 
 class TestStrictLoader:
