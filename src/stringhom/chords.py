@@ -193,16 +193,17 @@ class ChordConfig:
     gn_iterations: int = 40
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ParameterOutOfRange("nu must be positive")
+        for name in ("nu", "seeds_per_circle", "seeds_per_sphere"):
+            if getattr(self, name) < 1:
+                raise ParameterOutOfRange(f"{name} must be positive")
         sched = tuple(float(r) for r in self.r_schedule)
         if not sched or any(r <= 0 for r in sched):
             raise ParameterOutOfRange("r_schedule must be positive")
         if any(a <= b for a, b in zip(sched, sched[1:])):
             raise ParameterOutOfRange("r_schedule must be strictly decreasing")
         self.r_schedule = sched
-        for name in ("grad_tol", "dedup_len_tol", "dedup_pt_tol", "eps_min"):
-            if getattr(self, name) <= 0:
+        for name in ("length_bound", "grad_tol", "dedup_len_tol", "dedup_pt_tol", "eps_min"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ParameterOutOfRange(f"{name} must be positive")
 
     def resolved_bounds(self) -> tuple[float, float, float]:

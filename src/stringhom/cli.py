@@ -260,7 +260,7 @@ def cmd_cord(args) -> int:
         print("presentation file: kmax truncation check skipped")
         if args.compare:
             print("presentation file: --compare skipped")
-    elif not cord.truncation_stable(args.builtin, args.kmax, args.wmax):
+    elif not cord.truncation_stable(args.builtin, args.kmax, dims):
         print("error: slice dims unstable under kmax -> kmax+2", file=sys.stderr)
         _write_manifest(args, "cord", _params(args), [], t0)
         return EXIT_TRUNCATION
@@ -277,7 +277,7 @@ def cmd_cord(args) -> int:
         if dga is None:
             print("no built-in DGA counterpart; skipping comparison")
         else:
-            match, rows = cord.compare_with_h0(pres, dga, window, args.wmax)
+            match, rows = cord.compare_with_h0(dims, dga, window)
             for w, cdim, hdim, ok in rows:
                 print(f"  w={w}: cord {cdim}  H_0 {hdim}  {'ok' if ok else 'DIFF'}")
             print("MATCH" if match else "MISMATCH")
@@ -426,8 +426,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "wmax", 0) < 0:
             raise free_dga.ParameterOutOfRange("wmax must be nonnegative")
-        if getattr(args, "m", 1) < 1:
-            raise free_dga.ParameterOutOfRange("m must be at least 1")
+        for name in ("m", "rmax"):
+            if getattr(args, name, 1) < 1:
+                raise free_dga.ParameterOutOfRange(f"{name} must be at least 1")
         if getattr(args, "degree_range", None) and args.degree_range[0] > args.degree_range[1]:
             raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")
         return args.func(args)

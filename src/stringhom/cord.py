@@ -424,22 +424,20 @@ def quotient_dims_by_wordcount(pres: CordPresentation, wmax: int) -> list[int]:
     return quotient_slice_dims([asize**k for k in range(width)], (len(w) for w in red.pivots))
 
 
-def truncation_stable(name: str, kmax: int, wmax: int) -> bool:
-    """Do the slice dims survive deepening the truncation by two?"""
-    a = quotient_dims_by_wordcount(builtin_presentation(name, kmax), wmax)
-    b = quotient_dims_by_wordcount(builtin_presentation(name, kmax + 2), wmax)
-    return a == b
+def truncation_stable(name: str, kmax: int, dims: list[int]) -> bool:
+    """Do the slices ``dims`` at kmax survive deepening the truncation by two?"""
+    return dims == quotient_dims_by_wordcount(builtin_presentation(name, kmax + 2), len(dims) - 1)
 
 
-def compare_with_h0(pres, dga, window, wmax: int):
+def compare_with_h0(cord_dims: list[int], dga, window):
     """Cord slice dims versus the degree-0 homology slices of a DGA.
 
     Returns (match, table) with one (w, cord_dim, h0_dim, match) row per
-    word count.
+    word count w = 0 .. len(cord_dims) - 1.
     """
     from . import free_dga
 
-    cord_dims = quotient_dims_by_wordcount(pres, wmax)
+    wmax = len(cord_dims) - 1
     h0_dims = free_dga.h0_dims_by_wordcount(dga, window, wmax)
     rows = [
         (w, cord_dims[w], h0_dims[w], cord_dims[w] == h0_dims[w])

@@ -213,13 +213,6 @@ class DGA:
             total = total + self.gen(g).length
         return total
 
-    def word_weight(self, word: Word) -> int:
-        return sum(self.gen(g).weight for g in word)
-
-    def word_key(self, word: Word):
-        """Monomial order: (degree, exact length, letter count, lex on ids)."""
-        return (self.word_degree(word), self.word_length(word), len(word), word)
-
     @property
     def nonneg_graded(self) -> bool:
         return all(g.degree >= 0 for g in self.generators)

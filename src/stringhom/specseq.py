@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import exactlin, free_dga, jsonio
 from .exactlin import RowReducer, SparseMatrix, as_fraction
@@ -35,8 +35,7 @@ class FilteredComplexError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: str
     degree: int
     filtration: int
@@ -195,20 +194,25 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
     Cells are the window's words; a word of total weight m sits in
     filtration -m, so heavier words are deeper in the filtration and the
     differential (which never lowers weight) never raises the level.
+    Degree and weight are summed from per-letter tables built once, and a
+    word made only of letters with D = 0 gets no boundary column.
     """
     window.ensure_valid(dga)
     words = free_dga._enumerate_words(dga, window, None)
     index = {w: i for i, w in enumerate(words)}
+    degree = {g.id: g.degree for g in dga.generators}.__getitem__
+    weight = {g.id: g.weight for g in dga.generators}.__getitem__
     cells = [
-        Cell("*".join(w) if w else "1", dga.word_degree(w), -dga.word_weight(w))
+        Cell("*".join(w) if w else "1", sum(map(degree, w)), -sum(map(weight, w)))
         for w in words
     ]
     entries: dict = {}
     for j, w in enumerate(words):
-        img: dict = {}
-        free_dga._word_differential(dga, w, img, 1)
-        for ww, c in img.items():
-            entries[(index[ww], j)] = c
+        if not dga._dead.issuperset(w):
+            img: dict = {}
+            # The window is closed under D, so ``index`` already numbers every target.
+            free_dga._word_differential(dga, w, img, 1, index)
+            entries.update(((i, j), c) for i, c in img.items())
     boundary = SparseMatrix(len(words), len(words), entries)
     return FilteredComplex(cells, boundary)
 

@@ -16,14 +16,18 @@ coefficients, and reads degree-0 slices through
   bases along the length table.  Homology keys each row of
   ``_word_differential`` by word, against a full index of the target
   degree, and ranks each block whole: no counting, live-word walk, column
-  numbering on first sight or clearing is shared.
+  numbering on first sight or clearing is shared;
+* ``word_weight`` and ``word_key`` look every letter up through
+  ``DGA.gen``, and ``filtered_complex`` builds the weight-filtration complex
+  that way, one ``_word_differential`` per word keyed by word, as
+  ``specseq.from_dga`` did before it read per-letter tables.
 
 They are far too slow for the command line.
 """
 
 from __future__ import annotations
 
-from stringhom.exactlin import RowReducer
+from stringhom.exactlin import RowReducer, SparseMatrix
 from stringhom.free_dga import (
     DGA,
     AlgebraElement,
@@ -32,6 +36,7 @@ from stringhom.free_dga import (
     _word_differential,
 )
 from stringhom.lengths import Surd
+from stringhom.specseq import Cell, FilteredComplex
 
 
 def realizable_sums(window: LengthWindow, dga: DGA) -> list[Surd]:
@@ -159,3 +164,30 @@ def chord_word_counts(dga: DGA, words: list) -> dict[int, int]:
             d = dga.word_degree(w)
             counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def word_weight(dga: DGA, word) -> int:
+    return sum(dga.gen(g).weight for g in word)
+
+
+def word_key(dga: DGA, word):
+    """Monomial order: (degree, exact length, letter count, lex on ids)."""
+    return (dga.word_degree(word), dga.word_length(word), len(word), word)
+
+
+def filtered_complex(dga: DGA, window: LengthWindow) -> FilteredComplex:
+    """Weight-filtration complex: cell degree and weight from ``DGA.gen`` per letter."""
+    window.ensure_valid(dga)
+    words = _enumerate_words(dga, window, None)
+    index = {w: i for i, w in enumerate(words)}
+    cells = [
+        Cell("*".join(w) if w else "1", dga.word_degree(w), -word_weight(dga, w))
+        for w in words
+    ]
+    entries: dict = {}
+    for j, w in enumerate(words):
+        img: dict = {}
+        _word_differential(dga, w, img, 1)
+        for ww, c in img.items():
+            entries[(index[ww], j)] = c
+    return FilteredComplex(cells, SparseMatrix(len(words), len(words), entries))

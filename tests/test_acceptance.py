@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from dga_oracle import word_weight
 
 from stringhom import chords, cord, free_dga, specseq
 
@@ -169,7 +170,7 @@ def test_criterion_06_spectral_sequence():
         chord_counts: dict = {}
         for w in words:
             if all(dga.gen(g).weight == 1 for g in w):
-                key = (-dga.word_weight(w), dga.word_degree(w) + dga.word_weight(w))
+                key = (-word_weight(dga, w), dga.word_degree(w) + word_weight(dga, w))
                 chord_counts[key] = chord_counts.get(key, 0) + 1
         assert {k: v for k, v in e2.dims.items() if v} == chord_counts
     _report(
@@ -318,22 +319,22 @@ def test_criterion_10_refinement_stability(spectrum_runs):
 def test_criterion_11_cord_cross_check():
     with _Timer() as t:
         ok_hopf, _ = cord.compare_with_h0(
-            cord.builtin_presentation("hopf_link", 2),
+            cord.quotient_dims_by_wordcount(cord.builtin_presentation("hopf_link", 2), 4),
             free_dga.build_hopf(2),
             free_dga.LengthWindow(Fraction(13, 2)),
-            4,
         )
         ok_unlink, _ = cord.compare_with_h0(
-            cord.builtin_presentation("unlink2", 2),
+            cord.quotient_dims_by_wordcount(cord.builtin_presentation("unlink2", 2), 4),
             free_dga.build_unlink(2, 3),
             free_dga.LengthWindow(Fraction(41, 2)),
-            4,
         )
         unknot_dims = cord.quotient_dims_by_wordcount(
             cord.builtin_presentation("unknot", 2), 3
         )
         stable = all(
-            cord.truncation_stable(name, 2, wmax)
+            cord.truncation_stable(
+                name, 2, cord.quotient_dims_by_wordcount(cord.builtin_presentation(name, 2), wmax)
+            )
             for name, wmax in (("unknot", 3), ("hopf_link", 4), ("unlink2", 4))
         )
     assert ok_hopf and ok_unlink

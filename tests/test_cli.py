@@ -148,6 +148,22 @@ class TestCord:
         assert code == 0
         assert "MATCH" in out
 
+    @pytest.mark.parametrize("name", ["hopf_link", "unlink2"])
+    def test_compare_computes_each_truncation_once(self, name, tmp_path, capsys, monkeypatch):
+        seen = []
+        slices = cord.quotient_dims_by_wordcount
+
+        def counted(pres, wmax):
+            seen.append(pres)
+            return slices(pres, wmax)
+
+        monkeypatch.setattr(cord, "quotient_dims_by_wordcount", counted)
+        code, out, _ = run(["cord", "--builtin", name, "--compare", "--outdir", str(tmp_path)],
+                           capsys)
+        assert code == 0 and "MATCH" in out
+        # kmax for the printed slices, truncation check and comparison; kmax + 2 once.
+        assert len(seen) == 2
+
 
 class TestChords:
     def test_hopf_spectrum_and_sums(self, tmp_path, capsys):
@@ -431,6 +447,39 @@ class TestErrorExits:
             err = self.check(["chords", "--builtin", "hopf", "--d", "2", "--a", "3.5",
                               "--m", m], 6, tmp_path, capsys)
             assert "m must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--circle-seeds", "0", "seeds_per_circle must be positive"),
+            ("--sphere-seeds", "-3", "seeds_per_sphere must be positive"),
+            ("--a", "0", "length_bound must be positive"),
+            ("--a", "-1", "length_bound must be positive"),
+        ],
+        ids=["circle_seeds_0", "sphere_seeds_-3", "a_0", "a_-1"],
+    )
+    def test_chords_empty_search_exit_6_before_search(
+        self, flag, value, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the chord search ran")
+
+        monkeypatch.setattr(chords, "find_spectrum", no_search)
+        # A repeated --a takes its last value.
+        argv = ["chords", "--builtin", "hopf", "--d", "3", "--a", "3.5", flag, value]
+        err = self.check(argv, 6, tmp_path, capsys)
+        assert message in err
+
+    def test_specseq_rmax_below_1_exit_6_before_build(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the complex was built")
+
+        monkeypatch.setattr(specseq, "from_dga", no_build)
+        for rmax in ("0", "-2"):
+            err = self.check(["specseq", "--builtin", "hopf", "--a", "3.5", "--rmax", rmax],
+                             6, tmp_path, capsys)
+            assert "rmax must be at least 1" in err
+        assert os.listdir(tmp_path) == []
 
     def test_weight_lowering_spec_specseq_exit_6(self, tmp_path, capsys):
         spec = tmp_path / "lowering.json"

@@ -152,35 +152,33 @@ class TestQuotientDims:
 class TestTruncationStability:
     @pytest.mark.parametrize("name,wmax", [("unknot", 3), ("hopf_link", 4), ("unlink2", 4)])
     def test_stable(self, name, wmax):
-        assert truncation_stable(name, 2, wmax)
+        dims = quotient_dims_by_wordcount(builtin_presentation(name, 2), wmax)
+        assert truncation_stable(name, 2, dims)
 
 
 class TestCompare:
     def test_hopf_link_matches_h0(self):
         ok, rows = compare_with_h0(
-            builtin_presentation("hopf_link", 2),
+            quotient_dims_by_wordcount(builtin_presentation("hopf_link", 2), 4),
             free_dga.build_hopf(2),
             free_dga.LengthWindow(Fraction(13, 2)),
-            4,
         )
         assert ok
         assert [r[1] for r in rows] == [1, 2, 2, 2, 2]
 
     def test_unlink2_matches_h0(self):
         ok, _ = compare_with_h0(
-            builtin_presentation("unlink2", 2),
+            quotient_dims_by_wordcount(builtin_presentation("unlink2", 2), 4),
             free_dga.build_unlink(2, 3),
             free_dga.LengthWindow(Fraction(41, 2)),
-            4,
         )
         assert ok
 
     def test_unknot_vs_hopf_differs(self):
         ok, rows = compare_with_h0(
-            builtin_presentation("unknot", 2),
+            quotient_dims_by_wordcount(builtin_presentation("unknot", 2), 3),
             free_dga.build_hopf(2),
             free_dga.LengthWindow(Fraction(13, 2)),
-            3,
         )
         assert not ok
         assert rows[1][1] == 0 and rows[1][2] == 2

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import dga_oracle
 import pytest
 from page_oracle import oracle_pages
 
@@ -101,6 +102,29 @@ class TestFromDga:
         assert fc.cells[fc.index["d1_00"]].filtration == -2
         assert fc.cells[fc.index["1"]].degree == 0
         assert fc.cells[fc.index["1"]].filtration == 0
+
+    @pytest.mark.parametrize(
+        "make,a",
+        [
+            (lambda: free_dga.build_hopf(2), Fraction(9, 2)),
+            (lambda: free_dga.build_hopf(2), Fraction(11, 2)),
+            (lambda: free_dga.forget_F(free_dga.build_hopf(2)), Fraction(9, 2)),
+            (lambda: free_dga.build_hopf(3), Fraction(9, 2)),
+            (lambda: free_dga.build_unlink(2, 3), Fraction(19, 2)),
+        ]
+        + [(lambda seed=seed: random_spec_dga(seed), None) for seed in range(10)],
+        ids=["hopf2-9/2", "hopf2-11/2", "hopf2_del-9/2", "hopf3-9/2", "unlink23-19/2"]
+        + [f"random{seed}" for seed in range(10)],
+    )
+    def test_matches_per_word_lookup_oracle(self, make, a):
+        """Per-letter tables build the complex the ``DGA.gen`` route builds."""
+        dga = make()
+        window = free_dga.LengthWindow(a) if a else _valid_window(dga, Fraction(9, 2))
+        fc, want = from_dga(dga, window), dga_oracle.filtered_complex(dga, window)
+        cells = [(c.id, c.degree, c.filtration) for c in fc.cells]
+        assert cells == [(c.id, c.degree, c.filtration) for c in want.cells]
+        got_entries = [(k, type(v), v) for k, v in fc.boundary.entries.items()]
+        assert got_entries == [(k, type(v), v) for k, v in want.boundary.entries.items()]
 
     def test_integral_boundary_stays_int(self):
         fc = from_dga(free_dga.build_hopf(2), free_dga.LengthWindow(Fraction(9, 2)))
