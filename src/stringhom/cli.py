@@ -321,10 +321,13 @@ def cmd_specseq(args) -> int:
         if args.forget_f:
             dga = free_dga.forget_F(dga)
         window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-        fc = specseq.from_dga(dga, window)
+        # Checked on the full DGA, whose lengths include the d/e letters';
+        # the destabilized one has the same pages from E^1 on.
+        window.ensure_valid(dga)
+        fc = specseq.from_dga(free_dga.destabilize(dga), window)
     tables = [specseq.page(fc, r) for r in range(1, args.rmax + 1)]
     einf = specseq.einfinity(fc)
-    converged = specseq.convergence_check(fc)
+    converged = specseq.convergence_check(fc, einf)
     for t in tables:
         print(f"page r={t.r}: " + ", ".join(f"E({p},{q})={d}" for p, q, d in t.nonzero()))
     print("page E-inf: " + ", ".join(f"E({p},{q})={d}" for p, q, d in einf.nonzero()))

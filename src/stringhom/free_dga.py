@@ -18,7 +18,8 @@ Two families are built in:
 
 ``forget_F`` drops the linking part, which exhibits the hopf algebra as a
 stabilization of its chord subalgebra; homology then counts pure chord
-words, and tests verify this.
+words.  ``destabilize`` splits the d/e pairs off with F kept, and homology
+and the degree-0 slices are computed on the chord letters that remain.
 """
 
 from __future__ import annotations
@@ -586,16 +587,19 @@ def homology_dims_all(
     ``exactlin.homology_dims`` ranks the blocks from the top down with
     clearing.  A pivot row R of d_(p+1) is a boundary, so D(R) = 0.  D of
     R's lead is then a combination of the D-rows of R's later columns, so
-    the lead's row of d_p is left out without changing the rank.
+    the lead's row of d_p is left out without changing the rank.  All of
+    this runs on ``destabilize(dga)``; "every populated degree" is read off
+    the original window.
     """
     window.ensure_valid(dga)
-    wanted = None if degrees is None else sorted(set(degrees))
-    if wanted == []:
+    if degrees is None:
+        degrees = _degree_counts(_moves(dga, window), None)
+    wanted = sorted(set(degrees))
+    if not wanted:
         return {}
+    dga = destabilize(dga)
     moves = _moves(dga, window)
-    sizes = _degree_counts(moves, wanted[-1] + 1 if wanted and dga.nonneg_graded else None)
-    if wanted is None:
-        wanted = list(sizes)
+    sizes = _degree_counts(moves, wanted[-1] + 1 if dga.nonneg_graded else None)
     # The block of degree p is D from degree p to degree p - 1.
     sources = _live_words(
         dga, moves,
@@ -627,11 +631,13 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
     that still fit; no degree-1 word is enumerated.  The image is only
     filtered (not graded) by letter count, so the slice dimensions reported
     are those of the induced filtration: dim F_w/F_{w-1} where F_w is
-    spanned by words with at most w letters.
+    spanned by words with at most w letters.  The rows are built on
+    ``destabilize(dga)``, whose substitution keeps letter count.
     """
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
     window.ensure_valid(dga)
+    dga = destabilize(dga)
     moves = _moves(dga, window)
     moves0 = [[(gid, r) for gid, deg, r in row if deg == 0] for row in moves]
     live = {g.id: dga._letters[g.id][1] for g in dga.generators
@@ -798,6 +804,44 @@ def forget_F(dga: DGA) -> DGA:
         f_part={g.id: zero for g in dga.generators},
         name=f"{dga.name}|del",
     )
+
+
+def destabilize(dga: DGA) -> DGA:
+    """Drop the stabilization pairs d -> e that a tame substitution splits off.
+
+    A pair has D(d) = λ·e, one one-letter term, with d and e of equal length
+    and weight; d occurs in no D(g), and e occurs in any other D(g) only as
+    a term μ·e, with len(d) <= len(g) and weight(d) >= weight(g).  Then
+    g ↦ g - (μ/λ)·d is tame and keeps length, weight and letter count; the
+    d-terms it brings into other D(h) cancel, as D^2 = 0 cancels the e-terms
+    of the same shape.  The words with a d or e letter then form a summand
+    contracted by u·e·v ↦ u·d·v at the leftmost such letter (Chekanov), so
+    homology in every window, the letter-count slices of H_0 and the weight
+    pages from E^1 on are those of the other letters with the μ·e terms
+    deleted.  Other pairs stay; with none to drop, ``dga`` itself is returned.
+    Validate windows on the original, whose lengths include those of d and e.
+    """
+    in_terms = {x for img in dga.diff.values() for w in img.terms for x in w}
+    in_products = {x for img in dga.diff.values() for w in img.terms if len(w) > 1 for x in w}
+    partner: dict[str, str] = {}
+    for d in dga.generators:
+        terms = list(dga.diff[d.id].terms)
+        if len(terms) != 1 or len(terms[0]) != 1 or d.id in in_terms:
+            continue
+        e = dga.by_id[terms[0][0]]
+        if (e.id not in partner.values() and e.id not in in_products
+                and (d.length, d.weight) == (e.length, e.weight)
+                and all(d.length <= g.length and d.weight >= g.weight
+                        for g in dga.generators if (e.id,) in dga.diff[g.id].terms)):
+            partner[d.id] = e.id
+    if not partner:
+        return dga
+    gone = set(partner) | set(partner.values())
+    diff = {
+        g.id: AlgebraElement({w: c for w, c in dga.diff[g.id].terms.items() if gone.isdisjoint(w)})
+        for g in dga.generators if g.id not in gone
+    }
+    return DGA([g for g in dga.generators if g.id not in gone], diff, name=dga.name)
 
 
 def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:

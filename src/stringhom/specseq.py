@@ -12,8 +12,7 @@ from pairs as in Basu-Parida): a pair whose filtration gap is g lives on
 E^1..E^g, and unpaired cells live on every page.  The pairs are computed
 once per complex and shared by all pages, E-oo and ``convergence_check``,
 which confirms that the E-oo column sums recover the total homology in
-every degree; that homology, and the associated graded homology checked
-against E^1, are computed independently of the pairs.
+every degree; that homology is computed independently of the pairs.
 
 ``from_dga`` realizes the weight filtration of a length-windowed free DGA:
 cells are words, the filtration level of a word is minus its total weight,
@@ -179,9 +178,8 @@ def einfinity(fc: FilteredComplex) -> PageTable:
     return table
 
 
-def convergence_check(fc: FilteredComplex) -> bool:
-    """Does the stable page add up to the homology in every total degree?"""
-    einf = einfinity(fc)
+def convergence_check(fc: FilteredComplex, einf: PageTable) -> bool:
+    """Does the stable page ``einf`` of ``fc`` add up to its homology in every total degree?"""
     totals = einf.total_dims()
     hom = fc.homology_dims()
     degrees = set(totals) | set(hom)
@@ -215,37 +213,6 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
             entries.update(((i, j), c) for i, c in img.items())
     boundary = SparseMatrix(len(words), len(words), entries)
     return FilteredComplex(cells, boundary)
-
-
-def associated_graded_homology(fc: FilteredComplex) -> dict[tuple[int, int], int]:
-    """Homology of each graded piece; independent route to the first page.
-
-    The level-p graded piece keeps cells of filtration exactly p with the
-    boundary projected back to level p.
-    """
-    out: dict[tuple[int, int], int] = {}
-    levels = sorted({c.filtration for c in fc.cells})
-    cols = fc.boundary.col_dicts()
-    for p in levels:
-        idxs = [i for i, c in enumerate(fc.cells) if c.filtration == p]
-        sub = {j: k for k, j in enumerate(idxs)}
-        by_degree: dict[int, list[int]] = {}
-        for j in idxs:
-            by_degree.setdefault(fc.cells[j].degree, []).append(j)
-        dims = exactlin.homology_dims(
-            {n: len(js) for n, js in by_degree.items()},
-            [
-                (n, lambda cleared, js=js: (
-                    {sub[i]: v for i, v in cols[j].items() if i in sub}
-                    for j in js if sub[j] not in cleared
-                ))
-                for n, js in by_degree.items()
-            ],
-        )
-        for n, dim in dims.items():
-            if dim:
-                out[(p, n - p)] = dim
-    return out
 
 
 # -- serialization -----------------------------------------------------------

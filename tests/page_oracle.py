@@ -8,12 +8,16 @@ Computes each page straight from the defining formula
 with one kernel and one row reduction per (p, n, r).  It shares no code
 with the persistence-pair route, which is what makes it an oracle; it is
 far too slow for the command line.
+
+``associated_graded_homology`` is a second independent route, to the first
+page only: the homology of each graded piece.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from stringhom import exactlin
 from stringhom.exactlin import RowReducer, SparseMatrix, Subspace
 from stringhom.specseq import FilteredComplex, PageTable, stable_page_index
 
@@ -136,3 +140,34 @@ def oracle_pages(fc: FilteredComplex, rs) -> list[PageTable]:
                     dims[(p, n - p)] = d
         tables.append(PageTable(r, dims))
     return tables
+
+
+def associated_graded_homology(fc: FilteredComplex) -> dict[tuple[int, int], int]:
+    """Homology of each graded piece; independent route to the first page.
+
+    The level-p graded piece keeps cells of filtration exactly p with the
+    boundary projected back to level p.
+    """
+    out: dict[tuple[int, int], int] = {}
+    levels = sorted({c.filtration for c in fc.cells})
+    cols = fc.boundary.col_dicts()
+    for p in levels:
+        idxs = [i for i, c in enumerate(fc.cells) if c.filtration == p]
+        sub = {j: k for k, j in enumerate(idxs)}
+        by_degree: dict[int, list[int]] = {}
+        for j in idxs:
+            by_degree.setdefault(fc.cells[j].degree, []).append(j)
+        dims = exactlin.homology_dims(
+            {n: len(js) for n, js in by_degree.items()},
+            [
+                (n, lambda cleared, js=js: (
+                    {sub[i]: v for i, v in cols[j].items() if i in sub}
+                    for j in js if sub[j] not in cleared
+                ))
+                for n, js in by_degree.items()
+            ],
+        )
+        for n, dim in dims.items():
+            if dim:
+                out[(p, n - p)] = dim
+    return out

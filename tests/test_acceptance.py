@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from dga_oracle import word_weight
+from page_oracle import associated_graded_homology
 
 from stringhom import chords, cord, free_dga, specseq
 
@@ -159,9 +160,9 @@ def test_criterion_06_spectral_sequence():
     with _Timer() as t:
         fc = specseq.from_dga(dga, window)
         e1 = specseq.page(fc, 1)
-        graded = specseq.associated_graded_homology(fc)
+        graded = associated_graded_homology(fc)
         assert {k: v for k, v in e1.dims.items() if v} == graded
-        assert specseq.convergence_check(fc)
+        assert specseq.convergence_check(fc, specseq.einfinity(fc))
 
         stripped = free_dga.forget_F(dga)
         fc2 = specseq.from_dga(stripped, window)

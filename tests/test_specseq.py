@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import dga_oracle
 import pytest
-from page_oracle import oracle_pages
+from page_oracle import associated_graded_homology, oracle_pages
 
 from stringhom import exactlin, free_dga
 from stringhom.cli import _valid_window
@@ -13,7 +13,6 @@ from stringhom.specseq import (
     Cell,
     FilteredComplex,
     FilteredComplexError,
-    associated_graded_homology,
     complex_from_json_dict,
     complex_to_json_dict,
     convergence_check,
@@ -185,15 +184,16 @@ class TestPages:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_convergence_random(self, seed):
-        assert convergence_check(random_filtered_complex(seed, ncells=12))
+        fc = random_filtered_complex(seed, ncells=12)
+        assert convergence_check(fc, einfinity(fc))
 
     def test_convergence_hopf(self, hopf_complex):
-        assert convergence_check(hopf_complex)
+        assert convergence_check(hopf_complex, einfinity(hopf_complex))
 
     def test_convergence_zero_boundary(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1)]
         fc = FilteredComplex(cells, SparseMatrix(2, 2))
-        assert convergence_check(fc)
+        assert convergence_check(fc, einfinity(fc))
 
     def test_first_page_diagonal_counts_chord_words(self, hopf_complex):
         # Words built from weight-1 generators survive to the first page;
@@ -347,7 +347,7 @@ class TestPersistenceOracle:
     def test_pairs_computed_once(self, hopf_complex):
         first = hopf_complex.persistence_pairs()
         page(hopf_complex, 2)
-        convergence_check(hopf_complex)
+        convergence_check(hopf_complex, einfinity(hopf_complex))
         assert hopf_complex.persistence_pairs() is first
 
     def test_pairs_and_unpaired_partition_cells(self, hopf_complex):
