@@ -19,6 +19,9 @@ The spectrum search itself solves the endpoint perpendicularity system by
 Gauss-Newton from a fixed grid of endpoint pairs per component pair, which
 reaches minima and saddle-type chords alike; descending the seeds first finds
 no chord that this solve misses (``tests/chord_oracle.py`` checks it).
+Reversing a chord from K_i to K_j gives a chord from K_j to K_i of the same
+length, so each cross pair i < j is solved once and its chords are mirrored
+into (j, i); only self pairs (i, i) are solved on their own.
 Each Gauss-Newton step builds the endpoint frames once and reuses them for
 the residual, every finite-difference column and the step.  Results are
 deduplicated by length, with endpoint clusters counted as a multiplicity
@@ -582,21 +585,21 @@ def _seed_grid(manifold, i, j, cfg: ChordConfig):
     return u0, u1
 
 
-def _pair_candidates(manifold, i, j, cfg: ChordConfig, diagnostics: dict):
+def _pair_candidates(manifold, i, j, cfg: ChordConfig):
     """Endpoint candidates for one ordered component pair.
 
     Gauss-Newton on the criticality system from every grid seed: it
-    reaches minima and saddle-type chords alike.
+    reaches minima and saddle-type chords alike.  Returns the converged
+    endpoints, their residual norms and the counts (seeds, converged,
+    failed).
     """
     u0, u1 = _seed_grid(manifold, i, j, cfg)
     if len(u0) == 0:
-        return u0, u1, np.zeros(0)
-    diagnostics["seeds"] = diagnostics.get("seeds", 0) + len(u0)
+        return u0, u1, np.zeros(0), (0, 0, 0)
     out0, out1, resnorm, alive = _gauss_newton(manifold, i, j, u0, u1, cfg.gn_iterations)
     good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
-    diagnostics["converged"] = diagnostics.get("converged", 0) + int(np.sum(good))
-    diagnostics["failed"] = diagnostics.get("failed", 0) + int(np.sum(~good))
-    return out0[good], out1[good], resnorm[good]
+    converged = int(np.sum(good))
+    return out0[good], out1[good], resnorm[good], (len(u0), converged, len(u0) - converged)
 
 
 def _count_distinct(keys: Iterable[np.ndarray], tol: float) -> int:
@@ -637,21 +640,40 @@ def find_spectrum(
     """Multistart search for all binormal chords below the length bound.
 
     Runs a Gauss-Newton criticality solve from the seed grid of every
-    ordered component pair, rebuilds each converged chord as a straight
-    nu-segment path, filters by the residual and length windows,
-    and deduplicates by length.  The multiplicity of a length is the number
-    of endpoint clusters among its candidates: a greedy pass in length
-    order keeps a candidate unless its endpoints lie within
+    component pair (i, j) with i <= j, rebuilds each converged chord as a
+    straight nu-segment path, filters by the residual and length windows,
+    and deduplicates by length.  Each kept candidate of a cross pair i < j
+    is followed by its mirror in (j, i): the reversed chord, with the same
+    length and residual norm bit for bit.  The multiplicity of a length is
+    the number of endpoint clusters among its candidates: a greedy pass in
+    length order keeps a candidate unless its endpoints lie within
     ``cfg.dedup_pt_tol`` of a kept one, looked up in grid cells of that
     size (``_count_distinct``).  Returns results sorted by length.
+
+    A length reports the component pair of its first candidate by float
+    length.  The sort is stable and a mirror ties its original, so that
+    candidate is never a mirror: a cross pair reports as (i, j) with i < j.
+    Among several pairs carrying one length (say the self pairs (0, 0) and
+    (1, 1)), the reported one still follows the float order of their
+    candidates.
+
+    ``diagnostics`` receives ``seeds``, ``converged`` and ``failed`` over
+    the full ordered seed grid (a mirrored pair counts what its solve
+    counted), ``solved`` (the seeds that went through Gauss-Newton),
+    ``failure_rate``, and ``pairs``: one row ``[i, j, seeds, converged,
+    failed, "solved" | "mirrored"]`` per ordered pair.
     """
     diagnostics = diagnostics if diagnostics is not None else {}
     bound, b0, eps_g = cfg.resolved_bounds()
     ncomp = len(manifold.components)
     found: list[tuple] = []
+    pairs: list[list] = []
     for i in range(ncomp):
-        for j in range(ncomp):
-            u0s, u1s, resnorms = _pair_candidates(manifold, i, j, cfg, diagnostics)
+        for j in range(i, ncomp):
+            u0s, u1s, resnorms, counts = _pair_candidates(manifold, i, j, cfg)
+            pairs.append([i, j, *counts, "solved"])
+            if i != j:
+                pairs.append([j, i, *counts, "mirrored"])
             if len(u0s) == 0:
                 continue
             p0 = manifold.components[i].embed(u0s)
@@ -664,7 +686,11 @@ def find_spectrum(
                 & (lens / cfg.nu < eps_g)
             )
             for s in np.flatnonzero(keep):
-                found.append((float(lens[s]), i, j, u0s[s], u1s[s], float(resnorms[s])))
+                length, resnorm = float(lens[s]), float(resnorms[s])
+                found.append((length, i, j, u0s[s], u1s[s], resnorm))
+                if i != j:
+                    # The reversed chord: same length and residual, bit for bit.
+                    found.append((length, j, i, u1s[s], u0s[s], resnorm))
     found.sort(key=lambda t: t[0])
 
     results: list[ChordResult] = []
@@ -697,10 +723,15 @@ def find_spectrum(
             group = []
         group.append(item)
     flush()
-    total = diagnostics.get("seeds", 0)
-    diagnostics["failure_rate"] = (
-        diagnostics.get("failed", 0) / total if total else 0.0
+    pairs.sort(key=lambda row: row[:2])
+    diagnostics["pairs"] = diagnostics.get("pairs", []) + pairs
+    for col, key in ((2, "seeds"), (3, "converged"), (4, "failed")):
+        diagnostics[key] = diagnostics.get(key, 0) + sum(row[col] for row in pairs)
+    diagnostics["solved"] = diagnostics.get("solved", 0) + sum(
+        row[2] for row in pairs if row[5] == "solved"
     )
+    total = diagnostics["seeds"]
+    diagnostics["failure_rate"] = diagnostics["failed"] / total if total else 0.0
     return results
 
 

@@ -183,6 +183,8 @@ def cmd_chords(args) -> int:
     t0 = time.time()
     from . import chords
 
+    if args.m > 1 and args.a is None:
+        raise chords.ParameterOutOfRange("--m above 1 needs a length bound --a")
     if args.builtin == "single":
         manifold = chords.single_sphere(args.d)
     else:

@@ -96,7 +96,7 @@ def test_search_is_bit_identical(case, oracle_runs, monkeypatch):
     want, want_calls = _search(name, bound, _oracle_solver(name, oracle_runs),
                                chord_oracle._count_distinct, monkeypatch)
     ncomp = len(MANIFOLDS[name]().components)
-    pairs = [(i, j) for i in range(ncomp) for j in range(ncomp)]
+    pairs = [(i, j) for i in range(ncomp) for j in range(i, ncomp)]
     assert [c[0] for c in got_calls] == [c[0] for c in want_calls] == pairs
     # Gauss-Newton: u0, u1, residual norm and alive flags, every bit.
     for (pair, u0, u1, out), (_, v0, v1, ref) in zip(got_calls, want_calls):

@@ -448,6 +448,16 @@ class TestErrorExits:
                               "--m", m], 6, tmp_path, capsys)
             assert "m must be at least 1" in err
 
+    def test_chords_m_without_a_exit_6_before_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the chord search ran")
+
+        monkeypatch.setattr(chords, "find_spectrum", no_search)
+        err = self.check(["chords", "--builtin", "hopf", "--d", "2", "--m", "2"],
+                         6, tmp_path, capsys)
+        assert "needs a length bound --a" in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
