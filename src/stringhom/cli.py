@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -56,18 +57,18 @@ def _outdir(args) -> str:
     return out
 
 
-def _write_manifest(args, command: str, parameters: dict, outputs: list[str], t0: float):
+def _write_manifest(args, outputs: list[str]):
     versions = {"stringhom": __version__, "python": sys.version.split()[0]}
     if "numpy" in sys.modules:
         versions["numpy"] = sys.modules["numpy"].__version__
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": _params(args),
         "versions": versions,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - args.started, 3),
         "outputs": outputs,
     }
-    path = os.path.join(_outdir(args), f"manifest_{command.replace('-', '_')}.json")
+    path = os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return path
@@ -108,7 +109,6 @@ def _auto_window(dga: free_dga.DGA) -> free_dga.LengthWindow:
 
 
 def cmd_dga_homology(args) -> int:
-    t0 = time.time()
     dga = _load_or_build_dga(args)
     window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
     degrees = args.degree if args.degree else []
@@ -140,12 +140,11 @@ def cmd_dga_homology(args) -> int:
             for p, d in rows:
                 w.writerow([p, d])
         outputs.append(args.csv)
-    _write_manifest(args, "dga-homology", _params(args), outputs, t0)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
 def cmd_distinguish(args) -> int:
-    t0 = time.time()
     d = args.d
     hopf = free_dga.build_hopf(d)
     unlink = free_dga.build_unlink(d, args.z2star)
@@ -175,12 +174,11 @@ def cmd_distinguish(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=1, sort_keys=True)
         outputs.append(args.json)
-    _write_manifest(args, "distinguish", _params(args), outputs, t0)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
 def cmd_chords(args) -> int:
-    t0 = time.time()
     from . import chords
 
     if args.m > 1 and args.a is None:
@@ -242,7 +240,7 @@ def cmd_chords(args) -> int:
                 w.writerow([f"{r.length:.12f}", r.comp_source, r.comp_target,
                             f"{r.residual:.3e}", r.multiplicity])
         outputs.append(args.csv)
-    _write_manifest(args, "chords", _params(args), outputs, t0)
+    _write_manifest(args, outputs)
     if rate > FAILURE_RATE_THRESHOLD:
         print(f"error: failure rate {rate:.3f} exceeds {FAILURE_RATE_THRESHOLD}", file=sys.stderr)
         return EXIT_CHORD_FAILURES
@@ -250,7 +248,6 @@ def cmd_chords(args) -> int:
 
 
 def cmd_cord(args) -> int:
-    t0 = time.time()
     if args.presentation:
         pres = cord.load_presentation(args.presentation)
     else:
@@ -264,7 +261,7 @@ def cmd_cord(args) -> int:
             print("presentation file: --compare skipped")
     elif not cord.truncation_stable(args.builtin, args.kmax, dims):
         print("error: slice dims unstable under kmax -> kmax+2", file=sys.stderr)
-        _write_manifest(args, "cord", _params(args), [], t0)
+        _write_manifest(args, [])
         return EXIT_TRUNCATION
     rows = None
     if args.compare and not args.presentation:
@@ -308,12 +305,11 @@ def cmd_cord(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=1, sort_keys=True)
         outputs.append(args.json)
-    _write_manifest(args, "cord", _params(args), outputs, t0)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
 def cmd_specseq(args) -> int:
-    t0 = time.time()
     if args.complex:
         if args.forget_f or args.a is not None:
             raise free_dga.NotApplicable("--forget-f and --a apply to a DGA, not to --complex")
@@ -338,12 +334,12 @@ def cmd_specseq(args) -> int:
     if args.csv:
         specseq.pages_to_csv(tables + [einf], args.csv)
         outputs.append(args.csv)
-    _write_manifest(args, "specseq", _params(args), outputs, t0)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
 def _params(args) -> dict:
-    skip = {"func"}
+    skip = {"started"}
     return {
         k: (str(v) if isinstance(v, Fraction) else v)
         for k, v in vars(args).items()
@@ -351,6 +347,7 @@ def _params(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringhom",
@@ -375,14 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", action="store_true", help="also degree-0 word-count slices")
     p.add_argument("--wmax", type=int, default=4)
     common(p, "json", "csv")
-    p.set_defaults(func=cmd_dga_homology)
 
     p = sub.add_parser("distinguish", help="linked vs spaced pair discriminator")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--z2star", type=_fraction, default=Fraction(3))
     p.add_argument("--wmax", type=int, default=4)
     common(p, "json")
-    p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("chords", help="binormal chord spectrum search")
     p.add_argument("--builtin", choices=["hopf", "unlink", "single"], required=True)
@@ -394,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circle-seeds", type=int, default=24)
     p.add_argument("--sphere-seeds", type=int, default=36)
     common(p, "json", "csv")
-    p.set_defaults(func=cmd_chords)
 
     p = sub.add_parser("cord", help="cord algebra slice dimensions")
     source = p.add_mutually_exclusive_group(required=True)
@@ -404,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--compare", action="store_true", help="compare with DGA H_0")
     common(p, "json", "csv")
-    p.set_defaults(func=cmd_cord)
 
     p = sub.add_parser("specseq", help="weight-filtration spectral sequence pages")
     p.add_argument("--builtin", choices=["hopf", "unlink"])
@@ -416,14 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, default=3)
     p.add_argument("--forget-f", action="store_true", help="stabilization part only")
     common(p, "csv")
-    p.set_defaults(func=cmd_specseq)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code.
+
+    ``main`` can be called repeatedly in one process: every call shares the
+    one cached parser, and ``parse_args`` gives each call a fresh namespace.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     if args.command == "dga-homology" and not (args.degree or args.degree_range or args.h0):
         parser.error("dga-homology needs --degree, --degree-range or --h0")
     if args.command == "specseq" and args.complex and (args.spec or args.builtin):
@@ -436,7 +434,9 @@ def main(argv=None) -> int:
                 raise free_dga.ParameterOutOfRange(f"{name} must be at least 1")
         if getattr(args, "degree_range", None) and args.degree_range[0] > args.degree_range[1]:
             raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")
-        return args.func(args)
+        # By name, per call: the cached parser holds no function object, so a
+        # patched ``cmd_*`` module attribute is the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(t for types, _, _ in ERRORS for t in types) as exc:
         code, what = next((c, w) for types, c, w in ERRORS if isinstance(exc, types))
         print(f"error: {what}: {exc}", file=sys.stderr)

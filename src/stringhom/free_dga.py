@@ -28,7 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cached_property, cmp_to_key, partial
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -218,23 +218,41 @@ class DGA:
     def nonneg_graded(self) -> bool:
         return all(g.degree >= 0 for g in self.generators)
 
+    @cached_property
+    def _length_table(self) -> tuple[int, int, dict[str, tuple[int, int]]]:
+        """(denominator D, radicand n, id -> (P, Q)): g is (P + Q*sqrt(n)) / D long.
+
+        Built once; word lengths are then integer sums, compared exactly by
+        ``_below_bound``.
+        """
+        n = 0
+        for g in self.generators:
+            if g.length.q:
+                if n and g.length.n != n:
+                    raise IncompatibleRadicals(f"sqrt({g.length.n}) vs sqrt({n})")
+                n = g.length.n
+        pq = {g.id: (g.length.p, g.length.q) for g in self.generators}
+        denom = lcm(*(x.denominator for xs in pq.values() for x in xs))
+        return denom, n, {gid: (p.numerator * (denom // p.denominator),
+                                q.numerator * (denom // q.denominator))
+                          for gid, (p, q) in pq.items()}
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
         radicands = {g.length.n for g in self.generators if g.length.q}
         if len(radicands) > 1:
             raise InvalidDGA(f"generator lengths mix the radicands {sorted(radicands)}")
+        _, n, scaled = self._length_table
         for g in self.generators:
-            img = self.diff[g.id]
-            for w in img.terms:
-                for letter in w:
-                    self.gen(letter)
-                if self.word_degree(w) != g.degree - 1:
+            for w in self.diff[g.id].terms:
+                degree = self.word_degree(w)  # raises UnknownGenerator first
+                if degree != g.degree - 1:
                     raise InvalidDGA(
-                        f"diff({g.id}) term {w} has degree "
-                        f"{self.word_degree(w)} != {g.degree - 1}"
+                        f"diff({g.id}) term {w} has degree {degree} != {g.degree - 1}"
                     )
-                if (self.word_length(w) - g.length).sign() > 0:
+                if _below_bound(*scaled[g.id], sum(scaled[x][0] for x in w),
+                                sum(scaled[x][1] for x in w), n):
                     raise InvalidDGA(
                         f"diff({g.id}) term {w} is longer than the generator"
                     )
@@ -346,24 +364,18 @@ def _scaled_lengths(dga: DGA, window: LengthWindow):
 
     Word enumeration and window validation compare many sums against the
     bound; doing that with integers instead of Fraction-backed surds is what
-    makes large windows affordable.  Returns (per-generator (P, Q), bound
-    (PA, QA), radicand n, common denominator).
+    makes large windows affordable.  The DGA's ``_length_table`` is rescaled
+    to clear the bound's denominators too.  Returns (per-generator (P, Q),
+    bound (PA, QA), radicand n, common denominator).
     """
-    values = [g.length for g in dga.generators] + [window.bound]
-    n = 0
-    for v in values:
-        if v.q != 0:
-            if n and v.n != n:
-                raise IncompatibleRadicals(f"sqrt({v.n}) vs sqrt({n})")
-            n = v.n
-    denom = 1
-    for v in values:
-        denom = lcm(denom, v.p.denominator, v.q.denominator)
-    scaled = []
-    for g in dga.generators:
-        scaled.append((int(g.length.p * denom), int(g.length.q * denom)))
-    bound = (int(window.bound.p * denom), int(window.bound.q * denom))
-    return scaled, bound, n, denom
+    denom, n, table = dga._length_table
+    b = window.bound
+    if b.q and n and b.n != n:
+        raise IncompatibleRadicals(f"sqrt({b.n}) vs sqrt({n})")
+    k = lcm(denom, b.p.denominator, b.q.denominator) // denom
+    denom *= k
+    scaled = [(p * k, q * k) for p, q in table.values()]
+    return scaled, (int(b.p * denom), int(b.q * denom)), n or b.n, denom
 
 
 def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
@@ -821,6 +833,7 @@ def destabilize(dga: DGA) -> DGA:
     deleted.  Other pairs stay; with none to drop, ``dga`` itself is returned.
     Validate windows on the original, whose lengths include those of d and e.
     """
+    _, n, scaled = dga._length_table
     in_terms = {x for img in dga.diff.values() for w in img.terms for x in w}
     in_products = {x for img in dga.diff.values() for w in img.terms if len(w) > 1 for x in w}
     partner: dict[str, str] = {}
@@ -830,8 +843,8 @@ def destabilize(dga: DGA) -> DGA:
             continue
         e = dga.by_id[terms[0][0]]
         if (e.id not in partner.values() and e.id not in in_products
-                and (d.length, d.weight) == (e.length, e.weight)
-                and all(d.length <= g.length and d.weight >= g.weight
+                and (scaled[d.id], d.weight) == (scaled[e.id], e.weight)
+                and all(not _below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
                         for g in dga.generators if (e.id,) in dga.diff[g.id].terms)):
             partner[d.id] = e.id
     if not partner:

@@ -553,6 +553,58 @@ def test_dga_homology_without_degrees_is_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+HOPF_HOMOLOGY = ["dga-homology", "--builtin", "hopf", "--a", "9/2"]
+# Command sequences run in one process.  Whatever an earlier call leaves in
+# the shared parser (an appended --degree list, a failed parse) would show as
+# a difference from the same call on a freshly built parser.
+PARSER_SEQUENCES = {
+    "degree_list_then_range": [HOPF_HOMOLOGY + ["--degree", "1", "--degree", "2"],
+                               HOPF_HOMOLOGY + ["--degree-range", "0", "2"]],
+    "usage_error_then_valid": [HOPF_HOMOLOGY + ["--degree", "one"],
+                               HOPF_HOMOLOGY + ["--degree", "0"]],
+    "exit_6_then_valid": [HOPF_HOMOLOGY + ["--degree-range", "5", "2"],
+                          HOPF_HOMOLOGY + ["--degree", "1"]],
+}
+
+
+def _recorded_run(argv, outdir, capsys):
+    """Exit code, stdout, stderr, JSON result and manifest parameters of one call."""
+    outdir.mkdir(exist_ok=True)
+    result, manifest = outdir / "res.json", outdir / "manifest_dga_homology.json"
+    try:
+        code = cli.main(argv + ["--outdir", str(outdir), "--json", str(result)])
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    record = (code, out.out, out.err,
+              result.read_text() if result.exists() else None,
+              json.loads(manifest.read_text())["parameters"] if manifest.exists() else None)
+    for path in outdir.iterdir():
+        path.unlink()
+    return record
+
+
+@pytest.mark.parametrize("sequence", list(PARSER_SEQUENCES))
+def test_repeated_main_calls_match_fresh_parsers(sequence, tmp_path, capsys):
+    argvs = PARSER_SEQUENCES[sequence]
+    cli.build_parser.cache_clear()
+    shared = [_recorded_run(argv, tmp_path / str(k), capsys) for k, argv in enumerate(argvs)]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for k, argv in enumerate(argvs):
+        cli.build_parser.cache_clear()
+        fresh.append(_recorded_run(argv, tmp_path / str(k), capsys))
+    assert shared == fresh
+    assert shared[-1][0] == 0
+    if sequence == "degree_list_then_range":
+        assert shared[1][1].count("dim = ") == 3
+        assert shared[1][4]["degree"] is None
+    elif sequence == "usage_error_then_valid":
+        assert shared[0][0] == ("SystemExit", 2)
+    else:
+        assert shared[0][0] == 6
+
+
 # Errors defined under src/stringhom that no CLI run can raise, with the reason.
 UNREACHABLE = {
     "free_dga.DGAError": "base class, never raised itself; every subclass is mapped",
