@@ -186,8 +186,6 @@ class ChordConfig:
     dedup_len_tol: float = 1e-7
     dedup_pt_tol: float = 5e-2
     length_bound: float | None = None
-    epsilon_g: float | None = None
-    b0: float | None = None
     eps_min: float = 1e-3
     seeds_per_circle: int = 24
     seeds_per_sphere: int = 36
@@ -208,13 +206,6 @@ class ChordConfig:
         for name in ("length_bound", "grad_tol", "dedup_len_tol", "dedup_pt_tol", "eps_min"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ParameterOutOfRange(f"{name} must be positive")
-
-    def resolved_bounds(self) -> tuple[float, float, float]:
-        """(length_bound, b0, epsilon_g) with defaults filled in."""
-        bound = self.length_bound if self.length_bound is not None else np.inf
-        b0 = self.b0 if self.b0 is not None else (bound + 2 if np.isfinite(bound) else 64.0)
-        eps_g = self.epsilon_g if self.epsilon_g is not None else 4.0 * b0 / self.nu
-        return float(bound), float(b0), float(eps_g)
 
 
 class BrokenPath:
@@ -664,7 +655,7 @@ def find_spectrum(
     failed, "solved" | "mirrored"]`` per ordered pair.
     """
     diagnostics = diagnostics if diagnostics is not None else {}
-    bound, b0, eps_g = cfg.resolved_bounds()
+    bound = cfg.length_bound if cfg.length_bound is not None else np.inf
     ncomp = len(manifold.components)
     found: list[tuple] = []
     pairs: list[list] = []
@@ -679,12 +670,7 @@ def find_spectrum(
             p0 = manifold.components[i].embed(u0s)
             p1 = manifold.components[j].embed(u1s)
             lens = np.linalg.norm(p1 - p0, axis=1)
-            # Window, total-length cap and per-segment cap of the model.
-            keep = (
-                (lens >= cfg.eps_min)
-                & (lens < min(bound, b0))
-                & (lens / cfg.nu < eps_g)
-            )
+            keep = (lens >= cfg.eps_min) & (lens < bound)
             for s in np.flatnonzero(keep):
                 length, resnorm = float(lens[s]), float(resnorms[s])
                 found.append((length, i, j, u0s[s], u1s[s], resnorm))

@@ -19,7 +19,10 @@ Two families are built in:
 ``forget_F`` drops the linking part, which exhibits the hopf algebra as a
 stabilization of its chord subalgebra; homology then counts pure chord
 words.  ``destabilize`` splits the d/e pairs off with F kept, and homology
-and the degree-0 slices are computed on the chord letters that remain.
+and the degree-0 slices are computed on the chord letters that remain: by
+composable segments, ranked small and convolved, when every term of every
+D(g) is exactly as long as g (as in both families), and degree by degree
+over the whole window otherwise (see ``homology_dims_all``).
 """
 
 from __future__ import annotations
@@ -191,6 +194,7 @@ class DGA:
         }
         # Letters with D = 0: a word made of them alone has no differential.
         self._dead = frozenset(gid for gid, (_, terms) in self._letters.items() if not terms)
+        self._spectra: dict = {}  # see ``_window_spectrum``
         self.del_part = dict(del_part) if del_part is not None else None
         self.f_part = dict(f_part) if f_part is not None else None
         self.name = name
@@ -236,6 +240,59 @@ class DGA:
         return denom, n, {gid: (p.numerator * (denom // p.denominator),
                                 q.numerator * (denom // q.denominator))
                           for gid, (p, q) in pq.items()}
+
+    @cached_property
+    def _destabilized(self) -> "DGA":
+        """What ``destabilize`` returns, built once per DGA."""
+        _, n, scaled = self._length_table
+        in_terms = {x for img in self.diff.values() for w in img.terms for x in w}
+        in_products = {x for img in self.diff.values() for w in img.terms if len(w) > 1 for x in w}
+        partner: dict[str, str] = {}
+        for d in self.generators:
+            terms = list(self.diff[d.id].terms)
+            if len(terms) != 1 or len(terms[0]) != 1 or d.id in in_terms:
+                continue
+            e = self.by_id[terms[0][0]]
+            if (e.id not in partner.values() and e.id not in in_products
+                    and (scaled[d.id], d.weight) == (scaled[e.id], e.weight)
+                    and all(not _below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
+                            for g in self.generators if (e.id,) in self.diff[g.id].terms)):
+                partner[d.id] = e.id
+        if not partner:
+            return self
+        gone = set(partner) | set(partner.values())
+        diff = {
+            g.id: AlgebraElement({w: c for w, c in self.diff[g.id].terms.items() if gone.isdisjoint(w)})
+            for g in self.generators if g.id not in gone
+        }
+        return DGA([g for g in self.generators if g.id not in gone], diff, name=self.name)
+
+    @cached_property
+    def _ends(self) -> tuple[dict[str, int], dict[str, int]] | None:
+        """Start and end class of each letter, or None when D shortens or empties a term.
+
+        The finest classes under which each term of each D(g) is a composable
+        path from g's start to g's end: one letter's end is the next's start.
+        """
+        _, _, scaled = self._length_table
+        pos = {g.id: 2 * k for k, g in enumerate(self.generators)}
+        parent = list(range(2 * len(pos)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for gid, img in self.diff.items():
+            for w in img.terms:
+                if not w or tuple(map(sum, zip(*(scaled[x] for x in w)))) != scaled[gid]:
+                    return None
+                # Start of g, start and end of each letter, end of g: join in pairs.
+                ends = [pos[gid], *(pos[x] + b for x in w for b in (0, 1)), pos[gid] + 1]
+                for x, y in zip(ends[::2], ends[1::2]):
+                    parent[find(x)] = find(y)
+        return ({gid: find(k) for gid, k in pos.items()},
+                {gid: find(k + 1) for gid, k in pos.items()})
 
     # -- validation --------------------------------------------------------
 
@@ -348,8 +405,8 @@ class LengthWindow:
         return [Surd(Fraction(p, denom), Fraction(q, denom), n) for p, q in spectrum]
 
     def ensure_valid(self, dga: DGA) -> None:
-        scaled, bound, n, _ = _scaled_lengths(dga, self)
-        if bound in _spectrum(scaled, bound, n, inclusive=True):
+        _, bound, _, spectrum = _window_spectrum(dga, self)
+        if spectrum[-1] == bound:
             raise WindowCollision(f"window {self.bound} is a realizable length")
 
     def admits(self, length: Surd) -> bool:
@@ -376,6 +433,17 @@ def _scaled_lengths(dga: DGA, window: LengthWindow):
     denom *= k
     scaled = [(p * k, q * k) for p, q in table.values()]
     return scaled, (int(b.p * denom), int(b.q * denom)), n or b.n, denom
+
+
+def _window_spectrum(dga: DGA, window: LengthWindow):
+    """``_scaled_lengths`` with the inclusive spectrum, searched once per DGA and
+    bound, in place of the denominator.  The bound, if realizable, is last."""
+    scaled, bound, n, denom = _scaled_lengths(dga, window)
+    # The radicand is the bound's own when the lengths are rational.
+    spectrum = dga._spectra.get((bound, denom, n))
+    if spectrum is None:
+        spectrum = dga._spectra[bound, denom, n] = _spectrum(scaled, bound, n, inclusive=True)
+    return scaled, bound, n, spectrum
 
 
 def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
@@ -433,9 +501,10 @@ def _moves(dga: DGA, window: LengthWindow) -> list[list[tuple[str, int, int]]]:
     rank after appending)`` by generator length, so a row ends at the first
     letter that overshoots.
     """
-    scaled, bound, n, _ = _scaled_lengths(dga, window)
+    scaled, bound, n, spectrum = _window_spectrum(dga, window)
     by_length = _exact_order(n)
-    spectrum = _spectrum(scaled, bound, n, inclusive=False)
+    if spectrum[-1] == bound:
+        spectrum = spectrum[:-1]
     rank = {s: r for r, s in enumerate(spectrum)}
     gens = sorted(zip(scaled, dga.generators), key=lambda sg: by_length(sg[0]))
     moves = []
@@ -532,53 +601,6 @@ def _degree_counts(moves: list, cap: int | None) -> dict[int, int]:
     return dict(sorted(total.items()))
 
 
-def _live_words(dga: DGA, moves: list, degrees: set[int]) -> dict[int, list[Word]]:
-    """Words of the given degrees that contain a letter with D != 0.
-
-    Depth-first along ``_moves``: first the prefixes made of dead letters
-    (D = 0), then, from each live letter appended to one, every word that
-    continues it.  A prefix is kept only while some suffix that fits in the
-    window can still complete it to a wanted word: per rank, the degrees of
-    all suffixes that fit and of those with a live letter are tabulated
-    first, from the top rank down.  That prunes above the largest wanted
-    degree under a nonnegative grading, and drops dead prefixes with no
-    room left for a live letter; with no live letter nothing is walked.
-    """
-    dead = dga._dead
-    tails: list[set[int]] = [set() for _ in moves]
-    live_tails: list[set[int]] = [set() for _ in moves]
-    for r in reversed(range(len(moves))):
-        tails[r].add(0)
-        for gid, gdeg, nr in moves[r]:
-            tails[r].update(gdeg + t for t in tails[nr])
-            live_tails[r].update(gdeg + t for t in (live_tails[nr] if gid in dead else tails[nr]))
-    # Degrees a prefix ending at rank r may have and still complete to a
-    # wanted word; a prefix with no live letter still needs one.
-    fits_dead = [{s - t for s in degrees for t in ts} for ts in live_tails]
-    fits = [{s - t for s in degrees for t in ts} for ts in tails]
-    found: dict[int, list[Word]] = {p: [] for p in sorted(degrees)}
-    prefixes = [(UNIT, 0, 0)] if 0 in fits_dead[0] else []
-    words = []
-    while prefixes:
-        word, deg, r = prefixes.pop()
-        for gid, gdeg, nr in moves[r]:
-            ndeg = deg + gdeg
-            if gid in dead:
-                if ndeg in fits_dead[nr]:
-                    prefixes.append((word + (gid,), ndeg, nr))
-            elif ndeg in fits[nr]:
-                words.append((word + (gid,), ndeg, nr))
-    while words:
-        word, deg, r = words.pop()
-        if deg in found:
-            found[deg].append(word)
-        for gid, gdeg, nr in moves[r]:
-            ndeg = deg + gdeg
-            if ndeg in fits[nr]:
-                words.append((word + (gid,), ndeg, nr))
-    return found
-
-
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
     """dim ker(D at this degree) - dim im(D from one degree up)."""
     return homology_dims_all(dga, window, [degree])[degree]
@@ -589,19 +611,15 @@ def homology_dims_all(
 ) -> dict[int, int]:
     """Homology dimensions at ``degrees``, or at every populated degree.
 
-    No word list is built.  The basis size of each degree is counted by one
-    dynamic program over the ``_moves`` table, ``counts[rank][degree]``
-    pushed forward by each letter (capped at the largest requested degree
-    + 1 when the grading is nonnegative).  Rows of D come only from words
-    with a live letter (D != 0) in a degree that sources a needed block,
-    found in one walk; each block numbers its columns on first sight.  The
-    block from degree p to p - 1 serves both H_p and H_(p-1), and
-    ``exactlin.homology_dims`` ranks the blocks from the top down with
-    clearing.  A pivot row R of d_(p+1) is a boundary, so D(R) = 0.  D of
-    R's lead is then a combination of the D-rows of R's later columns, so
-    the lead's row of d_p is left out without changing the rank.  All of
-    this runs on ``destabilize(dga)``; "every populated degree" is read off
-    the original window.
+    Runs on ``destabilize(dga)``; "every populated degree" is read off the
+    original window.  If a term of some D(g) is shorter than g or empty
+    (``DGA._ends`` is None), ``blockwise.blockwise_dims`` ranks the window
+    degree by degree.  Otherwise D keeps each maximal composable run of a
+    word, with its end classes and exact length, and the breakpoints
+    between runs, so the window is a direct sum of tensor products of
+    segment complexes (Koszul signs are the Leibniz rule's), and Künneth
+    over Q multiplies their homology: ``_segment_homology`` ranks each
+    segment block and ``_convolve`` sums the products by degree.
     """
     window.ensure_valid(dga)
     if degrees is None:
@@ -611,79 +629,127 @@ def homology_dims_all(
         return {}
     dga = destabilize(dga)
     moves = _moves(dga, window)
-    sizes = _degree_counts(moves, wanted[-1] + 1 if dga.nonneg_graded else None)
-    # The block of degree p is D from degree p to degree p - 1.
-    sources = _live_words(
-        dga, moves,
-        {p + k for p in wanted for k in (0, 1) if p + k in sizes and p + k - 1 in sizes},
-    )
-    # columns[q] numbers the degree-q words on first sight as columns of
-    # the block of degree q + 1; the block of degree q reads it to find its
-    # cleared sources and then drops it, as it drops its own sources.
-    columns: dict[int, dict[Word, int]] = {}
+    if dga._ends is None:
+        from .blockwise import blockwise_dims
+        return blockwise_dims(dga, moves, wanted)
+    cap = wanted[-1] if dga.nonneg_graded else None
+    dims = _convolve(dga, moves, None if cap is None else cap + 1, cap,
+                     partial(_segment_homology, dga))
+    return {p: dims.get(p, 0) for p in wanted}
 
-    def rows(p: int, cleared):
-        above = columns.pop(p, {})
-        live = (w for w in sources.pop(p) if above.get(w) not in cleared)
-        return _diff_rows(dga, live, columns.setdefault(p - 1, {}))
 
-    blocks = [(p, partial(rows, p)) for p in sources]
-    return exactlin.homology_dims({p: sizes.get(p, 0) for p in wanted}, blocks)
+def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, list[Word]]]:
+    """Composable words along ``moves``, by (start class, end class, length rank), then degree.
+
+    Each letter's end class (``DGA._ends``) is the next one's start class.
+    Degrees above ``cap`` are pruned: sound only with no negative degree.
+    """
+    start, end = dga._ends
+    blocks: dict[tuple, dict[int, list[Word]]] = {}
+    stack = [((gid,), deg, r) for gid, deg, r in moves[0]]
+    while stack:
+        word, deg, r = stack.pop()
+        if cap is None or deg <= cap:
+            tail = end[word[-1]]
+            blocks.setdefault((start[word[0]], tail, r), {}).setdefault(deg, []).append(word)
+            stack += [(word + (g,), deg + d, nr) for g, d, nr in moves[r] if start[g] == tail]
+    return blocks
+
+
+def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measure) -> dict:
+    """Sum, over sequences of segment blocks that fit, of the product of their pieces.
+
+    ``measure(words by degree)`` gives each block of ``_segments(dga, moves,
+    deg_cap)`` a piece {key: dim}; keys add along a sequence, those above
+    ``cap`` are dropped, and neighbours meet at a breakpoint (end class !=
+    start class).  One pass in rank order pushes ``states[rank][last end
+    class]`` forward by each block, to the rank its first word lands on.
+    """
+    pieces = [(next(iter(by_deg.values()))[0], s, e, piece)
+              for (s, e, _), by_deg in _segments(dga, moves, deg_cap).items()
+              if (piece := measure(by_deg))]
+    step = [{g: nr for g, _, nr in row} for row in moves]
+    states: list[dict] = [{} for _ in moves]
+    states[0][None] = {0: 1}
+    total: dict[int, int] = {}
+    for r, here in enumerate(states):
+        for counts in here.values():
+            for k, c in counts.items():
+                total[k] = total.get(k, 0) + c
+        for word, s, e, piece in pieces:
+            nr = r
+            for x in word:
+                if (nr := step[nr].get(x)) is None:
+                    break
+            else:
+                there = states[nr].setdefault(e, {})
+                for k, c in ((k + k2, c * c2) for last, counts in here.items() if last != s
+                             for k, c in counts.items() for k2, c2 in piece.items()):
+                    if cap is None or k <= cap:
+                        there[k] = there.get(k, 0) + c
+    return total
+
+
+def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
+    """Nonzero homology of one segment block, whose D keeps it.  A degree cut off
+    by ``_segments``' cap leaves the one below it too high; ``_convolve`` drops it."""
+    index = {p: {w: i for i, w in enumerate(ws)} for p, ws in by_deg.items()}
+
+    def rows(p, cleared):
+        return _diff_rows(dga, (w for w in by_deg[p] if index[p][w] not in cleared), index[p - 1])
+
+    dims = exactlin.homology_dims({p: len(ws) for p, ws in by_deg.items()},
+                                  [(p, partial(rows, p)) for p in by_deg if p - 1 in by_deg])
+    return {p: h for p, h in dims.items() if h}
+
+
+def _segment_h0(dga: DGA, wmax: int, by_deg: dict[int, list[Word]]) -> dict[int, int]:
+    """Nonzero letter-count slices, up to ``wmax``, of one segment block's H_0."""
+    # Columns heaviest first, so that each pivot is the longest word of its row.
+    columns = sorted(by_deg.get(0, ()), key=lambda w: (-len(w), w))
+    red = RowReducer()
+    for row in _diff_rows(dga, by_deg.get(1, ()), {w: i for i, w in enumerate(columns)}):
+        red.add(row, owned=True)
+    per_count = Counter(map(len, columns))
+    slices = quotient_slice_dims([per_count[k] for k in range(wmax + 1)],
+                                 (len(columns[c]) for c in red.pivots))
+    return {k: v for k, v in enumerate(slices) if v}
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:
     """Letter-count slices of degree-0 homology.
 
     Needs a nonnegative grading: then every degree-0 element is a cycle and
-    the image of the degree-1 part is spanned by u·D(g)·v over degree-0
+    the image B of the degree-1 part is spanned by u·D(g)·v over degree-0
     words u, v and degree-1 letters g with D(g) != 0 (D vanishes on the
     degree-0 letters and the prefix u has degree 0, so every sign is +).
-    The rows are built that way, along the ``_moves`` table: the degree-0
-    words once, with their length ranks, and per rank the degree-0 suffixes
-    that still fit; no degree-1 word is enumerated.  The image is only
-    filtered (not graded) by letter count, so the slice dimensions reported
-    are those of the induced filtration: dim F_w/F_{w-1} where F_w is
-    spanned by words with at most w letters.  The rows are built on
-    ``destabilize(dga)``, whose substitution keeps letter count.
+    The image is only filtered (not graded) by letter count, so the slice
+    dimensions reported are those of the induced filtration: dim
+    F_w/F_{w-1} where F_w is spanned by words with at most w letters.  All
+    of this runs on ``destabilize(dga)``, whose substitution keeps letter
+    count: by segments (``_segment_h0``) where ``homology_dims_all`` would.
+
+    Why the slices convolve over segments: each word lies in one summand of
+    the segment splitting, so F_w and B split along it and the slices add
+    over summands.  In one summand, degree 0 is V_1 ⊗ ... ⊗ V_m over the
+    degree-0 parts of its segment complexes, and B is the sum of the
+    V_1 ⊗ .. ⊗ B_j ⊗ .. ⊗ V_m.  Echelon each B_j with the heaviest word of a
+    row as its pivot: modulo B_j a pivot is a combination of no heavier
+    words, so the non-pivot words of at most w letters are a basis of F_w.
+    Their tensor products then span each F_w of V/B, and there are
+    ∏ dim V_j/B_j = dim V/B of them, so they are a basis: a summand's
+    slice w counts the tuples whose letter counts add up to w.
     """
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
     window.ensure_valid(dga)
     dga = destabilize(dga)
     moves = _moves(dga, window)
-    moves0 = [[(gid, r) for gid, deg, r in row if deg == 0] for row in moves]
-    live = {g.id: dga._letters[g.id][1] for g in dga.generators
-            if g.degree == 1 and g.id not in dga._dead}
-    moves1 = [[(live[gid], r) for gid, _, r in row if gid in live] for row in moves]
-
-    def walk(start: int) -> list[tuple[Word, int]]:
-        """Degree-0 words that fit after a prefix of rank ``start``, with end ranks."""
-        found = []
-        stack = [(UNIT, start)]
-        while stack:
-            word, r = stack.pop()
-            found.append((word, r))
-            for gid, nr in moves0[r]:
-                stack.append((word + (gid,), nr))
-        return found
-
-    basis0 = walk(0)
-    # Columns by decreasing letter count, so that each pivot is the longest
-    # word of its row.
-    columns = sorted((w for w, _ in basis0), key=lambda w: (-len(w), w))
-    index = {w: i for i, w in enumerate(columns)}
-    suffixes: dict[int, list[Word]] = {}
-    red = RowReducer()
-    for u, r in basis0:
-        for terms, r1 in moves1[r]:
-            tails = suffixes.get(r1)
-            if tails is None:
-                tails = suffixes[r1] = [v for v, _ in walk(r1)]
-            for v in tails:
-                red.add({index[u + t + v]: c for t, c in terms})
-    per_count = Counter(map(len, columns))
-    sizes = [per_count[k] for k in range(wmax + 1)]
-    return quotient_slice_dims(sizes, (len(columns[c]) for c in red.pivots))
+    if dga._ends is None:
+        from .blockwise import blockwise_h0
+        return blockwise_h0(dga, moves, wmax)
+    total = _convolve(dga, moves, 1, wmax, partial(_segment_h0, dga, wmax))
+    return [total.get(w, 0) for w in range(wmax + 1)]
 
 
 # -- built-in algebras -----------------------------------------------------
@@ -833,28 +899,7 @@ def destabilize(dga: DGA) -> DGA:
     deleted.  Other pairs stay; with none to drop, ``dga`` itself is returned.
     Validate windows on the original, whose lengths include those of d and e.
     """
-    _, n, scaled = dga._length_table
-    in_terms = {x for img in dga.diff.values() for w in img.terms for x in w}
-    in_products = {x for img in dga.diff.values() for w in img.terms if len(w) > 1 for x in w}
-    partner: dict[str, str] = {}
-    for d in dga.generators:
-        terms = list(dga.diff[d.id].terms)
-        if len(terms) != 1 or len(terms[0]) != 1 or d.id in in_terms:
-            continue
-        e = dga.by_id[terms[0][0]]
-        if (e.id not in partner.values() and e.id not in in_products
-                and (scaled[d.id], d.weight) == (scaled[e.id], e.weight)
-                and all(not _below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
-                        for g in dga.generators if (e.id,) in dga.diff[g.id].terms)):
-            partner[d.id] = e.id
-    if not partner:
-        return dga
-    gone = set(partner) | set(partner.values())
-    diff = {
-        g.id: AlgebraElement({w: c for w, c in dga.diff[g.id].terms.items() if gone.isdisjoint(w)})
-        for g in dga.generators if g.id not in gone
-    }
-    return DGA([g for g in dga.generators if g.id not in gone], diff, name=dga.name)
+    return dga._destabilized
 
 
 def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:

@@ -38,7 +38,7 @@ def descent_search(manifold, cfg):
     per descent stage, holding the batch's points at the start and at the
     end of that stage.
     """
-    bound, b0, eps_g = cfg.resolved_bounds()
+    bound = cfg.length_bound if cfg.length_bound is not None else np.inf
     stage_tol = max(cfg.grad_tol, DESCENT_STAGE_TOL)
     lengths: list[float] = []
     stages: list[tuple] = []
@@ -64,7 +64,7 @@ def descent_search(manifold, cfg):
             )
             good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
             lens = np.linalg.norm(c1.embed(out1[good]) - c0.embed(out0[good]), axis=1)
-            keep = (lens >= cfg.eps_min) & (lens < min(bound, b0)) & (lens / cfg.nu < eps_g)
+            keep = (lens >= cfg.eps_min) & (lens < bound)
             lengths.extend(float(x) for x in lens[keep])
     return lengths, stages
 

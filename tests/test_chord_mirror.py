@@ -53,8 +53,8 @@ def _direct_candidates(manifold, i, j, cfg):
     lens = np.linalg.norm(
         manifold.components[j].embed(out1) - manifold.components[i].embed(out0), axis=1
     )
-    bound, b0, eps_g = cfg.resolved_bounds()
-    keep = (lens >= cfg.eps_min) & (lens < min(bound, b0)) & (lens / cfg.nu < eps_g)
+    bound = cfg.length_bound if cfg.length_bound is not None else np.inf
+    keep = (lens >= cfg.eps_min) & (lens < bound)
     return out0[keep], out1[keep], lens[keep]
 
 

@@ -200,6 +200,20 @@ class TestChords:
         ]
         assert lengths == pytest.approx([2.0, 3.0, 13**0.5], abs=1e-6)
 
+    def test_no_bound_keeps_long_chords(self, tmp_path, capsys):
+        # Without --a no length is dropped: spacing 100 gives cross chords of
+        # length 100 and sqrt(10004), beyond any fixed cap.
+        code, out, _ = run(
+            ["chords", "--builtin", "unlink", "--d", "2", "--z2star", "100",
+             "--circle-seeds", "10", "--outdir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        lengths = [
+            float(line.split()[1]) for line in out.splitlines() if line.startswith("  length")
+        ]
+        assert lengths == pytest.approx([2.0, 100.0, 10004**0.5], abs=1e-6)
+
     def test_failure_threshold_exit_4(self, tmp_path, capsys, monkeypatch):
         def fake_find(manifold, cfg, diagnostics=None):
             diagnostics.update({"seeds": 10, "failed": 5, "failure_rate": 0.5})

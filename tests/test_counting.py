@@ -1,11 +1,13 @@
 """Homology from counted bases and live rows against the enumerating oracle.
 
-``free_dga.homology_dims_all`` counts each degree's basis along the length
-table, builds rows of D only from words with a live letter, and ranks the
-blocks top-down with clearing; ``dga_oracle.homology_dims_all`` lists every
-word of the window and ranks each block whole.  Both must give the same
-dimensions, and the counted sizes must equal the degrees of the enumerated
-words.
+On a DGA outside the segment route (the half-coefficient spec and most
+random and signed specs), ``free_dga.homology_dims_all`` counts each
+degree's basis along the length table, builds rows of D only from words
+with a live letter, and ranks the blocks top-down with clearing; the
+built-ins and the other specs take the segment route.
+``dga_oracle.homology_dims_all`` lists every word of the window and ranks
+each block whole.  Both must give the same dimensions, and the counted
+sizes must equal the degrees of the enumerated words.
 """
 
 import random

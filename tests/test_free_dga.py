@@ -30,6 +30,7 @@ from stringhom.free_dga import (
     homology_dims_all,
     word_basis,
     _diff_rows,
+    _moves,
 )
 from stringhom.exactlin import RowReducer
 from stringhom.lengths import Surd
@@ -222,6 +223,13 @@ class TestWindows:
     def test_nonpositive_rejected(self):
         with pytest.raises(WindowCollision):
             LengthWindow(Fraction(0))
+
+    def test_spectrum_cache_tells_radicands_apart(self):
+        # On rational lengths, 1 + sqrt(2) and 1 + sqrt(5) scale to the same
+        # integers, but their spectra are {0, 1, 2} and {0, 1, 2, 3}.
+        dga = build_hopf(2)
+        assert len(_moves(dga, LengthWindow(Surd(1, 1, 2)))) == 3
+        assert len(_moves(dga, LengthWindow(Surd(1, 1, 5)))) == 4
 
 
 def _quotient_monomial_count(max_total):
