@@ -7,8 +7,9 @@ the ``--json``/``--csv`` flags it writes, and every run drops a manifest
 directory.  Exit codes: 0 ok, 2 invalid length window or usage error, 3
 malformed DGA input, 4 chord search failure rate over the threshold, 5 cord
 truncation instability, 6 parameter out of range or not applicable to the
-input.  Each error exit prints one ``error:`` line on stderr; the mapping is
-the ``ERRORS`` table.  Only ``chords`` imports numpy.
+input, 7 a failed convergence check of specseq's E-oo against homology.
+Each error exit prints one ``error:`` line on stderr; the mapping is the
+``ERRORS`` table.  Only ``chords`` imports numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_INVALID_DGA = 3
 EXIT_CHORD_FAILURES = 4
 EXIT_TRUNCATION = 5
 EXIT_PARAMETER = 6
+EXIT_CHECK_FAILED = 7
 
 # Exception types to (exit code, message prefix); the first match wins.
 # ``chords.ParameterOutOfRange`` subclasses ``free_dga.ParameterOutOfRange``.
@@ -42,6 +44,7 @@ ERRORS = (
         EXIT_PARAMETER,
         "bad parameter",
     ),
+    ((specseq.ConvergenceFailure,), EXIT_CHECK_FAILED, "convergence check failed"),
 )
 
 FAILURE_RATE_THRESHOLD = 0.2
@@ -313,7 +316,7 @@ def cmd_specseq(args) -> int:
     if args.complex:
         if args.forget_f or args.a is not None:
             raise free_dga.NotApplicable("--forget-f and --a apply to a DGA, not to --complex")
-        fc = specseq.load_complex(args.complex)
+        tables = specseq.complex_pages(specseq.load_complex(args.complex), args.rmax)
     else:
         dga = _load_or_build_dga(args)
         if args.forget_f:
@@ -322,17 +325,15 @@ def cmd_specseq(args) -> int:
         # Checked on the full DGA, whose lengths include the d/e letters';
         # the destabilized one has the same pages from E^1 on.
         window.ensure_valid(dga)
-        fc = specseq.from_dga(free_dga.destabilize(dga), window)
-    tables = [specseq.page(fc, r) for r in range(1, args.rmax + 1)]
-    einf = specseq.einfinity(fc)
-    converged = specseq.convergence_check(fc, einf)
-    for t in tables:
+        tables = specseq.dga_pages(dga, window, args.rmax)
+    # A failed convergence check has raised before anything is written.
+    for t in tables[:-1]:
         print(f"page r={t.r}: " + ", ".join(f"E({p},{q})={d}" for p, q, d in t.nonzero()))
-    print("page E-inf: " + ", ".join(f"E({p},{q})={d}" for p, q, d in einf.nonzero()))
-    print(f"convergence to total homology: {'OK' if converged else 'FAILED'}")
+    print("page E-inf: " + ", ".join(f"E({p},{q})={d}" for p, q, d in tables[-1].nonzero()))
+    print("convergence to total homology: OK")
     outputs = []
     if args.csv:
-        specseq.pages_to_csv(tables + [einf], args.csv)
+        specseq.pages_to_csv(tables, args.csv)
         outputs.append(args.csv)
     _write_manifest(args, outputs)
     return EXIT_OK

@@ -28,6 +28,7 @@ over the whole window otherwise (see ``homology_dims_all``).
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,12 +212,6 @@ class DGA:
 
     def word_degree(self, word: Word) -> int:
         return sum(self.gen(g).degree for g in word)
-
-    def word_length(self, word: Word) -> Surd:
-        total = Surd(0)
-        for g in word:
-            total = total + self.gen(g).length
-        return total
 
     @property
     def nonneg_graded(self) -> bool:
@@ -409,9 +404,6 @@ class LengthWindow:
         if spectrum[-1] == bound:
             raise WindowCollision(f"window {self.bound} is a realizable length")
 
-    def admits(self, length: Surd) -> bool:
-        return (length - self.bound).sign() < 0
-
     def __repr__(self) -> str:
         return f"LengthWindow({self.bound})"
 
@@ -551,14 +543,6 @@ def _enumerate_words(
     return out
 
 
-def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list[Word]:
-    """Canonically ordered basis of the degree slice below the window."""
-    window.ensure_valid(dga)
-    if degree < 0 and dga.nonneg_graded:
-        return []
-    return _enumerate_words(dga, window, degree)
-
-
 def _diff_rows(dga: DGA, source: Iterable[Word], index: dict[Word, int]):
     """Nonzero rows of D on ``source``, columns numbered by ``index``.
 
@@ -656,22 +640,24 @@ def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, l
     return blocks
 
 
-def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measure) -> dict:
+def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measure,
+              combine=operator.add, unit=0) -> dict:
     """Sum, over sequences of segment blocks that fit, of the product of their pieces.
 
     ``measure(words by degree)`` gives each block of ``_segments(dga, moves,
-    deg_cap)`` a piece {key: dim}; keys add along a sequence, those above
-    ``cap`` are dropped, and neighbours meet at a breakpoint (end class !=
-    start class).  One pass in rank order pushes ``states[rank][last end
-    class]`` forward by each block, to the rank its first word lands on.
+    deg_cap)`` a piece {key: dim}; keys combine along a sequence by
+    ``combine``, from the empty word's ``unit``, those above ``cap`` are
+    dropped, and neighbours meet at a breakpoint (end class != start class).
+    One pass in rank order pushes ``states[rank][last end class]`` forward by
+    each block, to the rank its first word lands on.
     """
     pieces = [(next(iter(by_deg.values()))[0], s, e, piece)
               for (s, e, _), by_deg in _segments(dga, moves, deg_cap).items()
               if (piece := measure(by_deg))]
     step = [{g: nr for g, _, nr in row} for row in moves]
     states: list[dict] = [{} for _ in moves]
-    states[0][None] = {0: 1}
-    total: dict[int, int] = {}
+    states[0][None] = {unit: 1}
+    total: dict = {}
     for r, here in enumerate(states):
         for counts in here.values():
             for k, c in counts.items():
@@ -683,7 +669,7 @@ def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measu
                     break
             else:
                 there = states[nr].setdefault(e, {})
-                for k, c in ((k + k2, c * c2) for last, counts in here.items() if last != s
+                for k, c in ((combine(k, k2), c * c2) for last, counts in here.items() if last != s
                              for k, c in counts.items() for k2, c2 in piece.items()):
                     if cap is None or k <= cap:
                         there[k] = there.get(k, 0) + c
@@ -900,18 +886,6 @@ def destabilize(dga: DGA) -> DGA:
     Validate windows on the original, whose lengths include those of d and e.
     """
     return dga._destabilized
-
-
-def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
-    """Per-degree counts of words built only from weight-1 generators.
-
-    Counted along the ``_moves`` table restricted to weight-1 letters;
-    degrees with no such word are absent.
-    """
-    window.ensure_valid(dga)
-    light = {g.id for g in dga.generators if g.weight == 1}
-    moves = [[m for m in row if m[0] in light] for row in _moves(dga, window)]
-    return _degree_counts(moves, None)
 
 
 # -- JSON interface --------------------------------------------------------

@@ -6,23 +6,32 @@ raises the integer filtration level.  Page r is the subquotient
     Z^r(p, n)  = { x in F_p, degree n : dx in F_(p-r) }
     E^r_(p,q)  = Z^r(p, p+q) / ( Z^(r-1)(p-1, p+q) + d Z^(r-1)(p+r-1, p+q+1) )
 
-but every page is read off the persistence pairs of one exact reduction of
-the boundary, ordered by (filtration, index) (Zomorodian-Carlsson; pages
-from pairs as in Basu-Parida): a pair whose filtration gap is g lives on
-E^1..E^g, and unpaired cells live on every page.  The pairs are computed
-once per complex and shared by all pages, E-oo and ``convergence_check``,
-which confirms that the E-oo column sums recover the total homology in
-every degree; that homology is computed independently of the pairs.
+Over a field the complex splits into single cells and pairs with a
+filtration gap g (Zomorodian-Carlsson; pages from pairs as in
+Basu-Parida): a pair lives on E^1..E^g, and a single cell on every page.
+So every page is read off the complex's barcode, its cells counted by
+(filtration, degree, gap), with gap ``math.inf`` for an unpaired cell.
+``FilteredComplex.barcode`` reads it off the persistence pairs of one exact
+reduction, ordered by (filtration, index).
 
 ``from_dga`` realizes the weight filtration of a length-windowed free DGA:
 cells are words, the filtration level of a word is minus its total weight,
-and the boundary is the algebra differential.
+and the boundary is the algebra differential.  ``dga_pages`` builds that
+complex only when the DGA does not split by composable segments (see
+``free_dga.homology_dims_all``); when it does, the window is a direct sum of
+tensor products of segment blocks, and the tensor of a pair with gap g and
+a pair with gap h is two pairs with gap min(g, h), so the window's barcode
+is the blocks' barcodes convolved (``segment_barcode``).  Either way the
+E-oo degree totals must add up to homology computed without persistence,
+or ``ConvergenceFailure`` is raised.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -32,6 +41,10 @@ from .exactlin import RowReducer, SparseMatrix, as_fraction
 
 class FilteredComplexError(Exception):
     pass
+
+
+class ConvergenceFailure(Exception):
+    """E-oo does not add up to the total homology: a page is wrong."""
 
 
 class Cell(NamedTuple):
@@ -122,6 +135,19 @@ class FilteredComplex:
             self._pairs = (pairs, [i for i in order if i not in paired])
         return self._pairs
 
+    def barcode(self) -> dict[tuple, int]:
+        """Cells counted by (filtration, degree, gap), from ``persistence_pairs``.
+
+        Both cells of a pair carry its filtration gap; an unpaired cell
+        carries ``math.inf``.
+        """
+        pairs, unpaired = self.persistence_pairs()
+        cells = self.cells
+        gaps = dict.fromkeys(unpaired, math.inf)
+        for i, j in pairs:
+            gaps[i] = gaps[j] = cells[j].filtration - cells[i].filtration
+        return Counter((cells[k].filtration, cells[k].degree, g) for k, g in gaps.items())
+
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self.cells)} cells)"
 
@@ -144,26 +170,24 @@ class PageTable:
         return out
 
 
-def page(fc: FilteredComplex, r: int) -> PageTable:
-    """Dimension table of the r-th page (r >= 1), read off the pairs.
+def _page_of(bars: dict[tuple, int], r) -> PageTable:
+    """E^r_(p,q): the cells of ``bars`` at (p, p+q) whose gap is at least r.
 
-    E^r_(p,q) counts the unpaired cells at (p, p+q) plus both ends of
-    every pair whose filtration gap is at least r: a pair with gap g
-    survives to E^g and is cancelled by the differential d^g.
+    A pair with gap g survives to E^g and is cancelled by the differential
+    d^g; with r = ``math.inf`` only the unpaired cells are left, as on E-oo.
     """
+    dims: dict[tuple[int, int], int] = {}
+    for (p, n, gap), count in bars.items():
+        if gap >= r:
+            dims[p, n - p] = dims.get((p, n - p), 0) + count
+    return PageTable(r, dims)
+
+
+def page(fc: FilteredComplex, r: int) -> PageTable:
+    """Dimension table of the r-th page (r >= 1), read off the barcode."""
     if r < 1:
         raise ValueError("page index must be at least 1")
-    pairs, unpaired = fc.persistence_pairs()
-    cells = fc.cells
-    alive = list(unpaired)
-    for i, j in pairs:
-        if cells[j].filtration - cells[i].filtration >= r:
-            alive += (i, j)
-    dims: dict[tuple[int, int], int] = {}
-    for i in alive:
-        key = (cells[i].filtration, cells[i].degree - cells[i].filtration)
-        dims[key] = dims.get(key, 0) + 1
-    return PageTable(r, dims)
+    return _page_of(fc.barcode(), r)
 
 
 def stable_page_index(fc: FilteredComplex) -> int:
@@ -178,12 +202,61 @@ def einfinity(fc: FilteredComplex) -> PageTable:
     return table
 
 
+def _adds_up(einf: PageTable, hom: Mapping[int, int]) -> bool:
+    totals = einf.total_dims()
+    return all(totals.get(n, 0) == hom.get(n, 0) for n in set(totals) | set(hom))
+
+
 def convergence_check(fc: FilteredComplex, einf: PageTable) -> bool:
     """Does the stable page ``einf`` of ``fc`` add up to its homology in every total degree?"""
-    totals = einf.total_dims()
-    hom = fc.homology_dims()
-    degrees = set(totals) | set(hom)
-    return all(totals.get(n, 0) == hom.get(n, 0) for n in degrees)
+    return _adds_up(einf, fc.homology_dims())
+
+
+def complex_pages(fc: FilteredComplex, rmax: int) -> list[PageTable]:
+    """Pages E^1..E^rmax of ``fc``, then E-oo, once ``convergence_check`` passes."""
+    tables = [page(fc, r) for r in range(1, rmax + 1)]
+    einf = einfinity(fc)
+    if not convergence_check(fc, einf):
+        raise ConvergenceFailure("E-oo does not add up to the homology of the complex")
+    return tables + [einf]
+
+
+def dga_pages(dga: free_dga.DGA, window: free_dga.LengthWindow, rmax: int) -> list[PageTable]:
+    """E^1..E^rmax, then E-oo, of the weight filtration of ``destabilize(dga)``.
+
+    By ``segment_barcode`` when it splits into segments, with E-oo checked
+    against ``free_dga.homology_dims_all`` (no persistence there), else by
+    ``complex_pages`` on ``from_dga``.  Validate ``window`` on ``dga`` first.
+    """
+    small = free_dga.destabilize(dga)
+    if small._ends is None:
+        return complex_pages(from_dga(small, window), rmax)
+    bars = segment_barcode(small, window)
+    einf = _page_of(bars, math.inf)
+    einf.r = -1
+    if not _adds_up(einf, free_dga.homology_dims_all(dga, window)):
+        raise ConvergenceFailure("E-oo of the segment blocks does not add up to the homology")
+    return [_page_of(bars, r) for r in range(1, rmax + 1)] + [einf]
+
+
+def _tensor(a: tuple, b: tuple) -> tuple:
+    """(filtration, degree, gap) of the tensor of two barcode cells."""
+    return a[0] + b[0], a[1] + b[1], min(a[2], b[2])
+
+
+def segment_barcode(dga: free_dga.DGA, window: free_dga.LengthWindow) -> dict[tuple, int]:
+    """Barcode of the window's weight-filtered complex, convolved from its segment blocks.
+
+    ``dga`` is destabilized and splits (``DGA._ends`` is not None).  Each
+    block of ``free_dga._segments`` is built as ``from_dga`` builds the
+    window, and its barcode read off; a tensor of pairs with gaps g and h
+    splits into two pairs with gap min(g, h), so keys combine by ``_tensor``.
+    """
+    def block_barcode(by_deg):
+        return _complex(dga, [w for words in by_deg.values() for w in words]).barcode()
+
+    return free_dga._convolve(dga, free_dga._moves(dga, window), None, None, block_barcode,
+                              _tensor, (0, 0, math.inf))
 
 
 def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComplex:
@@ -192,11 +265,17 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
     Cells are the window's words; a word of total weight m sits in
     filtration -m, so heavier words are deeper in the filtration and the
     differential (which never lowers weight) never raises the level.
+    """
+    window.ensure_valid(dga)
+    return _complex(dga, free_dga._enumerate_words(dga, window, None))
+
+
+def _complex(dga: free_dga.DGA, words: list) -> FilteredComplex:
+    """Weight-filtered complex on ``words``, which D must map into their span.
+
     Degree and weight are summed from per-letter tables built once, and a
     word made only of letters with D = 0 gets no boundary column.
     """
-    window.ensure_valid(dga)
-    words = free_dga._enumerate_words(dga, window, None)
     index = {w: i for i, w in enumerate(words)}
     degree = {g.id: g.degree for g in dga.generators}.__getitem__
     weight = {g.id: g.weight for g in dga.generators}.__getitem__
@@ -208,7 +287,7 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
     for j, w in enumerate(words):
         if not dga._dead.issuperset(w):
             img: dict = {}
-            # The window is closed under D, so ``index`` already numbers every target.
+            # ``words`` are closed under D, so ``index`` already numbers every target.
             free_dga._word_differential(dga, w, img, 1, index)
             entries.update(((i, j), c) for i, c in img.items())
     boundary = SparseMatrix(len(words), len(words), entries)

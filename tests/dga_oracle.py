@@ -22,21 +22,58 @@ coefficients, and reads degree-0 slices through
   that way, one ``_word_differential`` per word keyed by word, as
   ``specseq.from_dga`` did before it read per-letter tables.
 
-They are far too slow for the command line.
+They are far too slow for the command line.  ``word_basis``,
+``chord_word_counts_all``, ``word_length`` and ``admits`` are helpers that
+only the tests call; they run ``free_dga``'s own enumeration and counting.
 """
 
 from __future__ import annotations
 
+from stringhom import free_dga
 from stringhom.exactlin import RowReducer, SparseMatrix
 from stringhom.free_dga import (
     DGA,
     AlgebraElement,
     LengthWindow,
+    _degree_counts,
     _enumerate_words,
+    _moves,
     _word_differential,
 )
 from stringhom.lengths import Surd
 from stringhom.specseq import Cell, FilteredComplex
+
+
+def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list:
+    """Canonically ordered basis of the degree slice below the window."""
+    window.ensure_valid(dga)
+    if degree < 0 and dga.nonneg_graded:
+        return []
+    # Through the module, so that a patched ``_enumerate_words`` is the one called.
+    return free_dga._enumerate_words(dga, window, degree)
+
+
+def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
+    """Per-degree counts of words built only from weight-1 generators.
+
+    Counted along the ``_moves`` table restricted to weight-1 letters;
+    degrees with no such word are absent.
+    """
+    window.ensure_valid(dga)
+    light = {g.id for g in dga.generators if g.weight == 1}
+    moves = [[m for m in row if m[0] in light] for row in _moves(dga, window)]
+    return _degree_counts(moves, None)
+
+
+def word_length(dga: DGA, word) -> Surd:
+    total = Surd(0)
+    for g in word:
+        total = total + dga.gen(g).length
+    return total
+
+
+def admits(window: LengthWindow, length: Surd) -> bool:
+    return (length - window.bound).sign() < 0
 
 
 def realizable_sums(window: LengthWindow, dga: DGA) -> list[Surd]:
@@ -76,7 +113,7 @@ def words_of_degree(dga: DGA, window: LengthWindow, degree: int) -> list:
             key = (length, g.id)
             if key not in steps:
                 longer = length + g.length
-                steps[key] = longer if window.admits(longer) else None
+                steps[key] = longer if admits(window, longer) else None
             if steps[key] is not None:
                 stack.append((word + (g.id,), deg + g.degree, steps[key]))
     rank = {v: r for r, v in enumerate(sorted({length for length, _ in found}))}
@@ -172,7 +209,7 @@ def word_weight(dga: DGA, word) -> int:
 
 def word_key(dga: DGA, word):
     """Monomial order: (degree, exact length, letter count, lex on ids)."""
-    return (dga.word_degree(word), dga.word_length(word), len(word), word)
+    return (dga.word_degree(word), word_length(dga, word), len(word), word)
 
 
 def filtered_complex(dga: DGA, window: LengthWindow) -> FilteredComplex:

@@ -9,6 +9,8 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
+import dga_oracle
+
 from stringhom import exactlin, free_dga
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -50,7 +52,7 @@ def test_tracer_installs_counts_and_restores():
         # Homology counts its basis and H_0 slices walk the degree-0 words
         # themselves: neither enumerates.
         homology = tracer.metrics()
-        free_dga.word_basis(dga, 1, window)
+        dga_oracle.word_basis(dga, 1, window)
     finally:
         tracer.uninstall()
     for (owner, attr), raw in zip(HOOKS, originals):

@@ -518,6 +518,37 @@ class TestErrorExits:
         err = self.check(["specseq", "--spec", str(spec), "--a", "2.5"], 6, tmp_path, capsys)
         assert "raises filtration" in err
 
+    @pytest.mark.parametrize("route", ["segments", "from_dga", "complex"])
+    def test_specseq_failed_convergence_exit_7_before_output(
+        self, route, tmp_path, capsys, monkeypatch
+    ):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        if route == "segments":
+            # hopf(2) splits into segments; its E-oo is checked against this.
+            monkeypatch.setattr(free_dga, "homology_dims_all", lambda *args: {0: 99})
+            argv = ["specseq", "--builtin", "hopf", "--a", "3.5"]
+        else:
+            monkeypatch.setattr(specseq.FilteredComplex, "homology_dims", lambda fc: {0: 99})
+            if route == "complex":
+                argv = ["specseq", "--complex", _write_json(inputs / "fc.json", _complex_data())]
+            else:
+                # D(g) = x·y - z with z shorter than g: no segments, so from_dga.
+                gens = [{"id": x, "degree": 0, "length": "1"} for x in "xyz"]
+                gens.append({"id": "g", "degree": 1, "length": "2"})
+                diff = {"g": [{"coeff": "1", "word": ["x", "y"]},
+                              {"coeff": "-1", "word": ["z"]}]}
+                spec = _write_json(inputs / "spec.json", {"generators": gens, "diff": diff})
+                argv = ["specseq", "--spec", spec, "--a", "3.5"]
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--csv", str(out / "pages.csv"), "--outdir", str(out)],
+                                capsys)
+        assert code == 7
+        assert err.startswith("error: convergence check failed: ")
+        assert len(err.strip().splitlines()) == 1
+        assert stdout == ""
+        assert not out.exists()
+
     def test_mixed_radicands_exit_3(self, tmp_path, capsys):
         spec = tmp_path / "radicands.json"
         spec.write_text(json.dumps({

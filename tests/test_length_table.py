@@ -3,7 +3,7 @@
 Each generator's length p + q*sqrt(n) is held as integers (P, Q) over one
 common denominator, and a term w of D(g) must satisfy len(w) <= len(g).
 These tests check that decision against the independent ``Surd`` route,
-``DGA.word_length``, on random DGAs and on the edge cases: equal lengths,
+``dga_oracle.word_length``, on random DGAs and on the edge cases: equal lengths,
 irrational margins, mixed radicands and unknown letters.
 """
 
@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from dga_oracle import word_length
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +87,7 @@ def _dga(rows, diff, validate=True):
 def test_validate_rejects_exactly_the_longer_terms(spec):
     rows, diff = spec
     loose = _dga(rows, diff, validate=False)
-    longer = any(loose.word_length(w) > g.length
+    longer = any(word_length(loose, w) > g.length
                  for g in loose.generators for w in loose.diff[g.id].terms)
     if longer:
         with pytest.raises(InvalidDGA, match="longer than the generator"):
