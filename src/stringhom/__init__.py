@@ -5,7 +5,7 @@ Submodules:
 * ``exactlin``  -- exact sparse linear algebra over Q
 * ``free_dga``  -- length-filtered free noncommutative DGAs and homology
 * ``specseq``   -- spectral sequences of bounded filtered complexes
-* ``chords``    -- binormal chord spectra via the broken-segment model
+* ``chords``    -- binormal chord spectra by Gauss-Newton from a fixed seed grid
 * ``cord``      -- skein-presented cord algebras and the degree-0 cross-check
 * ``cli``       -- command-line front end
 """

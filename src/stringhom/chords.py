@@ -6,19 +6,14 @@ where length-filtered homology can jump.  K here is a disjoint union of
 round (d-1)-spheres embedded affinely in R^(2d-1), which covers the built-in
 link configurations and keeps all tangent data closed-form.
 
-Chords are found with the broken-segment model: a path is a polygon
-q^0 ... q^nu with endpoints constrained to K, graded by the smoothed length
-
-    L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r),
-
-whose critical points (as r -> 0) are exactly the binormal chords, traversed
-as straight equal-speed polygons.  ``descend`` is the flow model: gradient
-descent of L_r whose accepted steps never increase L_r nor the largest
-smoothed segment, mirroring the confinement property of the continuous flow.
-The spectrum search itself solves the endpoint perpendicularity system by
+The spectrum search solves the endpoint perpendicularity system by
 Gauss-Newton from a fixed grid of endpoint pairs per component pair, which
-reaches minima and saddle-type chords alike; descending the seeds first finds
-no chord that this solve misses (``tests/chord_oracle.py`` checks it).
+reaches minima and saddle-type chords alike.  Each converged chord is
+rebuilt as a straight equal-speed polygon of nu segments (``BrokenPath``)
+whose binormality residual is reported with it.  The smoothed-length flow
+L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r) of such polygons lives in the test
+oracle ``tests/chord_oracle.py``, which checks that descending the seeds
+first finds no chord that this solve misses.
 Reversing a chord from K_i to K_j gives a chord from K_j to K_i of the same
 length, so each cross pair i < j is solved once and its chords are mirrored
 into (j, i); only self pairs (i, i) are solved on their own.
@@ -31,7 +26,7 @@ nearby representatives through a grid of cells of the dedup tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor
 from typing import Iterable
 
@@ -126,37 +121,33 @@ class ParamSubmanifold:
         return f"ParamSubmanifold({labels})"
 
 
+def _first_sphere(d: int) -> Component:
+    """The unit (d-1)-sphere on the first d axes of R^(2d-1)."""
+    n = 2 * d - 1
+    return Component(np.eye(n, d), np.zeros(n), "K0")
+
+
 def builtin_config(name: str, d: int, z2star: float | None = None) -> ParamSubmanifold:
     """The linked and the spaced pair of unit (d-1)-spheres in R^(2d-1)."""
     if d < 2:
         raise ParameterOutOfRange("d must be at least 2")
     n = 2 * d - 1
-    e_first = np.zeros((n, d))
-    e_first[: d - 1, : d - 1] = np.eye(d - 1)
-    e_first[d - 1, d - 1] = 1.0
+    first = _first_sphere(d)
     if name == "hopf":
         e_second = np.zeros((n, d))
         e_second[d - 1, 0] = 1.0
         e_second[d:, 1:] = np.eye(d - 1)
         offset = np.zeros(n)
         offset[d - 1] = 1.0
-        return ParamSubmanifold(
-            [
-                Component(e_first, np.zeros(n), "K0"),
-                Component(e_second, offset, "K1"),
-            ]
-        )
+        return ParamSubmanifold([first, Component(e_second, offset, "K1")])
     if name == "unlink":
-        if z2star is None or abs(z2star) <= 2:
-            raise ParameterOutOfRange("unlink needs |z2star| > 2")
+        if z2star is None:
+            raise ParameterOutOfRange("unlink needs z2star")
+        if z2star <= 2:
+            raise ParameterOutOfRange("z2star must exceed 2")
         offset = np.zeros(n)
-        offset[d] = float(abs(z2star))
-        return ParamSubmanifold(
-            [
-                Component(e_first, np.zeros(n), "K0"),
-                Component(e_first, offset, "K2"),
-            ]
-        )
+        offset[d] = float(z2star)
+        return ParamSubmanifold([first, Component(first.matrix, offset, "K2")])
     raise ParameterOutOfRange(f"unknown builtin config {name!r}")
 
 
@@ -164,48 +155,34 @@ def single_sphere(d: int) -> ParamSubmanifold:
     """One unit (d-1)-sphere in R^(2d-1); its only chords are diameters."""
     if d < 2:
         raise ParameterOutOfRange("d must be at least 2")
-    n = 2 * d - 1
-    e_first = np.zeros((n, d))
-    e_first[: d - 1, : d - 1] = np.eye(d - 1)
-    e_first[d - 1, d - 1] = 1.0
-    return ParamSubmanifold([Component(e_first, np.zeros(n), "K0")])
+    return ParamSubmanifold([_first_sphere(d)])
 
 
 # -- configuration and path types --------------------------------------------
 
-
-def _default_r_schedule() -> tuple:
-    return tuple(10.0 ** (-k) for k in range(2, 11))
+GRAD_TOL = 1e-9  # largest Gauss-Newton residual norm of a converged seed
+DEDUP_LEN_TOL = 1e-7  # chord lengths closer than this are one length
+DEDUP_PT_TOL = 5e-2  # endpoint keys closer than this (max norm) are one cluster
+# Shortest chord kept, and closest endpoints of a self-pair seed; a path of
+# nu segments is degenerate when one is no longer than EPS_MIN / nu.
+EPS_MIN = 1e-3
+RNG_SEED = 0  # seed grids on spheres of dimension above 2
+GN_ITERATIONS = 40
 
 
 @dataclass
 class ChordConfig:
     nu: int = 16
-    r_schedule: tuple = field(default_factory=_default_r_schedule)
-    grad_tol: float = 1e-9
-    dedup_len_tol: float = 1e-7
-    dedup_pt_tol: float = 5e-2
     length_bound: float | None = None
-    eps_min: float = 1e-3
     seeds_per_circle: int = 24
     seeds_per_sphere: int = 36
-    rng_seed: int = 0
-    max_iter_per_stage: int = 40
-    gn_iterations: int = 40
 
     def __post_init__(self):
         for name in ("nu", "seeds_per_circle", "seeds_per_sphere"):
             if getattr(self, name) < 1:
                 raise ParameterOutOfRange(f"{name} must be positive")
-        sched = tuple(float(r) for r in self.r_schedule)
-        if not sched or any(r <= 0 for r in sched):
-            raise ParameterOutOfRange("r_schedule must be positive")
-        if any(a <= b for a, b in zip(sched, sched[1:])):
-            raise ParameterOutOfRange("r_schedule must be strictly decreasing")
-        self.r_schedule = sched
-        for name in ("length_bound", "grad_tol", "dedup_len_tol", "dedup_pt_tol", "eps_min"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ParameterOutOfRange(f"{name} must be positive")
+        if self.length_bound is not None and self.length_bound <= 0:
+            raise ParameterOutOfRange("length_bound must be positive")
 
 
 class BrokenPath:
@@ -218,7 +195,6 @@ class BrokenPath:
         self.u0 = _normalize(np.asarray(u0, dtype=float))
         self.u1 = _normalize(np.asarray(u1, dtype=float))
         self.points = np.array(points, dtype=float)
-        self.converged = True
         c0 = manifold.components[comp0]
         c1 = manifold.components[comp1]
         if not np.allclose(self.points[0], c0.embed(self.u0), atol=1e-9):
@@ -229,17 +205,6 @@ class BrokenPath:
     @property
     def nu(self) -> int:
         return len(self.points) - 1
-
-    def segment_lengths(self):
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-
-    def polygonal_length(self) -> float:
-        return float(self.segment_lengths().sum())
-
-    def copy_with_points(self, points) -> "BrokenPath":
-        return BrokenPath(
-            self.manifold, self.comp0, self.comp1, self.u0, self.u1, points
-        )
 
 
 def straight_path(
@@ -273,157 +238,6 @@ class ChordResult:
         }
 
 
-# -- smoothed length and its gradient -----------------------------------------
-
-
-def l_r_value(path: BrokenPath, r: float) -> float:
-    if r <= 0:
-        raise ParameterOutOfRange("r must be positive")
-    d = np.diff(path.points, axis=0)
-    return float(np.sum(np.sqrt(np.sum(d * d, axis=1) + r)))
-
-
-def _batch_lr(points, r):
-    d = np.diff(points, axis=1)
-    h = np.sum(d * d, axis=2)
-    seg = np.sqrt(h + r)
-    return seg.sum(axis=1), seg.max(axis=1), d, seg
-
-
-def _batch_gradient(manifold, comp0, comp1, u0, u1, points, r):
-    """Interior gradient plus tangent-projected endpoint gradients."""
-    total, fmax, d, seg = _batch_lr(points, r)
-    w = 1.0 / seg
-    g_all = np.zeros_like(points)
-    g_all[:, 1:, :] += d * w[:, :, None]
-    g_all[:, :-1, :] -= d * w[:, :, None]
-    c0 = manifold.components[comp0]
-    c1 = manifold.components[comp1]
-    gu0 = g_all[:, 0, :] @ c0.matrix
-    gu1 = g_all[:, -1, :] @ c1.matrix
-    gu0 -= np.sum(gu0 * u0, axis=1, keepdims=True) * u0
-    gu1 -= np.sum(gu1 * u1, axis=1, keepdims=True) * u1
-    g_int = g_all[:, 1:-1, :]
-    return total, fmax, g_int, gu0, gu1
-
-
-def l_r_gradient(path: BrokenPath, r: float):
-    """Analytic gradient of l_r_value with endpoints constrained to K.
-
-    Returns (interior, g_u0, g_u1): ambient vectors for the free points and
-    sphere-tangent vectors for the two endpoint parameters.
-    """
-    if r <= 0:
-        raise ParameterOutOfRange("r must be positive")
-    total, fmax, g_int, gu0, gu1 = _batch_gradient(
-        path.manifold,
-        path.comp0,
-        path.comp1,
-        path.u0[None, :],
-        path.u1[None, :],
-        path.points[None, :, :],
-        r,
-    )
-    return g_int[0], gu0[0], gu1[0]
-
-
-def _grad_norm(g_int, gu0, gu1):
-    return np.sqrt(
-        np.sum(g_int * g_int, axis=(1, 2))
-        + np.sum(gu0 * gu0, axis=1)
-        + np.sum(gu1 * gu1, axis=1)
-    )
-
-
-class _DescentState:
-    """Batched projected gradient descent with monotone step acceptance.
-
-    A step is accepted only if L_r strictly decreases and the largest
-    smoothed segment does not grow, so both traces are nonincreasing along
-    accepted steps by construction.
-    """
-
-    def __init__(self, manifold, comp0, comp1, u0, u1, points):
-        self.manifold = manifold
-        self.comp0 = comp0
-        self.comp1 = comp1
-        self.u0 = u0.copy()
-        self.u1 = u1.copy()
-        self.points = points.copy()
-        self.step = np.full(len(points), 0.1)
-
-    def run_stage(self, r, grad_tol, max_iter, history=None):
-        c0 = self.manifold.components[self.comp0]
-        c1 = self.manifold.components[self.comp1]
-        gnorm = None
-        for _ in range(max_iter):
-            lr, fmax, g_int, gu0, gu1 = _batch_gradient(
-                self.manifold, self.comp0, self.comp1, self.u0, self.u1, self.points, r
-            )
-            gnorm = _grad_norm(g_int, gu0, gu1)
-            active = (gnorm > grad_tol) & (self.step > 1e-15)
-            if not np.any(active):
-                break
-            s = np.where(active, self.step, 0.0)[:, None]
-            new_u0 = _normalize(self.u0 - s * gu0)
-            new_u1 = _normalize(self.u1 - s * gu1)
-            new_points = self.points.copy()
-            new_points[:, 1:-1, :] -= s[:, :, None] * g_int
-            new_points[:, 0, :] = c0.embed(new_u0)
-            new_points[:, -1, :] = c1.embed(new_u1)
-            new_lr, new_f, _, _ = _batch_lr(new_points, r)
-            accept = active & (new_lr < lr) & (new_f <= fmax)
-            self.u0[accept] = new_u0[accept]
-            self.u1[accept] = new_u1[accept]
-            self.points[accept] = new_points[accept]
-            self.step[accept] = np.minimum(self.step[accept] * 1.3, 1.0)
-            shrink = active & ~accept
-            self.step[shrink] *= 0.5
-            if history is not None and bool(accept[0]):
-                history.append((float(new_lr[0]), float(new_f[0])))
-        if gnorm is None:
-            _, _, g_int, gu0, gu1 = _batch_gradient(
-                self.manifold, self.comp0, self.comp1, self.u0, self.u1, self.points, r
-            )
-            gnorm = _grad_norm(g_int, gu0, gu1)
-        return gnorm
-
-
-def descend(path: BrokenPath, r: float, cfg: ChordConfig, history: list | None = None) -> BrokenPath:
-    """Gradient descent of L_r for one path; accepted steps are monotone.
-
-    The returned path carries ``converged`` (gradient below cfg.grad_tol).
-    ``history`` (optional list) receives one (L_r, max smoothed segment)
-    pair per accepted step.
-    """
-    if r <= 0:
-        raise ParameterOutOfRange("r must be positive")
-    state = _DescentState(
-        path.manifold,
-        path.comp0,
-        path.comp1,
-        path.u0[None, :],
-        path.u1[None, :],
-        path.points[None, :, :],
-    )
-    gnorm = state.run_stage(r, cfg.grad_tol, cfg.max_iter_per_stage * 4, history=history)
-    out = BrokenPath(
-        path.manifold, path.comp0, path.comp1, state.u0[0], state.u1[0], state.points[0]
-    )
-    out.converged = bool(gnorm[0] <= cfg.grad_tol)
-    return out
-
-
-def refine(path: BrokenPath) -> BrokenPath:
-    """Insert segment midpoints: 2*nu segments, same polygonal length."""
-    pts = path.points
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    new = np.empty((2 * path.nu + 1, pts.shape[1]))
-    new[0::2] = pts
-    new[1::2] = mids
-    return path.copy_with_points(new)
-
-
 def binormality_residual(path: BrokenPath) -> float:
     """Deviation from chord criticality.
 
@@ -433,9 +247,9 @@ def binormality_residual(path: BrokenPath) -> float:
     """
     seg = np.diff(path.points, axis=0)
     lens = np.linalg.norm(seg, axis=1)
-    eps = 1e-3 / max(path.nu, 1)
+    eps = EPS_MIN / max(path.nu, 1)
     if np.any(lens <= eps):
-        raise DegenerateSegment("segment shorter than eps_min/nu")
+        raise DegenerateSegment("segment shorter than EPS_MIN/nu")
     dirs = seg / lens[:, None]
     turn = 0.0
     if len(dirs) > 1:
@@ -474,7 +288,7 @@ def _component_grid(comp: Component, cfg: ChordConfig):
         return _circle_points(cfg.seeds_per_circle)
     if k == 3:
         return _fibonacci_sphere(cfg.seeds_per_sphere)
-    rng = np.random.default_rng(cfg.rng_seed + 7 * k)
+    rng = np.random.default_rng(RNG_SEED + 7 * k)
     return _normalize(rng.standard_normal((cfg.seeds_per_sphere, k)))
 
 
@@ -562,7 +376,7 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
 def _seed_grid(manifold, i, j, cfg: ChordConfig):
     """All grid endpoint pairs (u0, u1) for one ordered component pair.
 
-    On a single component, pairs closer than eps_min are dropped.
+    On a single component, pairs closer than EPS_MIN are dropped.
     """
     g0 = _component_grid(manifold.components[i], cfg)
     g1 = _component_grid(manifold.components[j], cfg)
@@ -571,7 +385,7 @@ def _seed_grid(manifold, i, j, cfg: ChordConfig):
     if i == j:
         keep = np.linalg.norm(
             manifold.components[i].embed(u0) - manifold.components[j].embed(u1), axis=1
-        ) > max(cfg.eps_min, 1e-3)
+        ) > EPS_MIN
         u0, u1 = u0[keep], u1[keep]
     return u0, u1
 
@@ -587,8 +401,8 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig):
     u0, u1 = _seed_grid(manifold, i, j, cfg)
     if len(u0) == 0:
         return u0, u1, np.zeros(0), (0, 0, 0)
-    out0, out1, resnorm, alive = _gauss_newton(manifold, i, j, u0, u1, cfg.gn_iterations)
-    good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
+    out0, out1, resnorm, alive = _gauss_newton(manifold, i, j, u0, u1, GN_ITERATIONS)
+    good = alive & (resnorm < GRAD_TOL) & ~np.any(np.isnan(out0), axis=1)
     converged = int(np.sum(good))
     return out0[good], out1[good], resnorm[good], (len(u0), converged, len(u0) - converged)
 
@@ -638,7 +452,7 @@ def find_spectrum(
     length and residual norm bit for bit.  The multiplicity of a length is
     the number of endpoint clusters among its candidates: a greedy pass in
     length order keeps a candidate unless its endpoints lie within
-    ``cfg.dedup_pt_tol`` of a kept one, looked up in grid cells of that
+    ``DEDUP_PT_TOL`` of a kept one, looked up in grid cells of that
     size (``_count_distinct``).  Returns results sorted by length.
 
     A length reports the component pair of its first candidate by float
@@ -670,7 +484,7 @@ def find_spectrum(
             p0 = manifold.components[i].embed(u0s)
             p1 = manifold.components[j].embed(u1s)
             lens = np.linalg.norm(p1 - p0, axis=1)
-            keep = (lens >= cfg.eps_min) & (lens < bound)
+            keep = (lens >= EPS_MIN) & (lens < bound)
             for s in np.flatnonzero(keep):
                 length, resnorm = float(lens[s]), float(resnorms[s])
                 found.append((length, i, j, u0s[s], u1s[s], resnorm))
@@ -697,14 +511,14 @@ def find_spectrum(
                 length=float(np.median([g[0] for g in group])),
                 residual=float(residual),
                 multiplicity=_count_distinct(
-                    (np.concatenate([g[3], g[4]]) for g in group), cfg.dedup_pt_tol
+                    (np.concatenate([g[3], g[4]]) for g in group), DEDUP_PT_TOL
                 ),
                 points=path.points,
             )
         )
 
     for item in found:
-        if group and item[0] - group[-1][0] > cfg.dedup_len_tol:
+        if group and item[0] - group[-1][0] > DEDUP_LEN_TOL:
             flush()
             group = []
         group.append(item)

@@ -199,7 +199,7 @@ def cmd_chords(args) -> int:
     diagnostics: dict = {}
     results = chords.find_spectrum(manifold, cfg, diagnostics)
     lengths = [r.length for r in results]
-    print(f"binormal chords below a={args.a}:")
+    print("binormal chords:" if args.a is None else f"binormal chords below a={args.a}:")
     for r in results:
         print(
             f"  length {r.length:.9f}  components {r.comp_source}->{r.comp_target}"

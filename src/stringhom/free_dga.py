@@ -824,7 +824,7 @@ def build_unlink(d: int, z2star) -> DGA:
         raise ParameterOutOfRange("d must be at least 2")
     z = Fraction(z2star)
     if z <= 2:
-        raise ParameterOutOfRange("|z2*| must exceed 2")
+        raise ParameterOutOfRange("z2star must exceed 2")
     cross_len = Surd.sqrt(z * z + 4)
     gens: list[Generator] = []
     for i, j in _cross():

@@ -1,14 +1,25 @@
 """Earlier forms of the chord search, kept as test oracles.
 
-``descent_search``: the spectrum search once ran this phase before its
+The smoothed-length flow: a broken path q^0 ... q^nu with endpoints on K
+is graded by
+
+    L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r),
+
+whose critical points (as r -> 0) are exactly the binormal chords,
+traversed as straight equal-speed polygons.  ``descend`` is gradient
+descent of L_r whose accepted steps never increase L_r nor the largest
+smoothed segment, mirroring the confinement property of the continuous
+flow; ``refine`` doubles the segments of a path.
+
+``descent_search``: the spectrum search once ran this flow before its
 Gauss-Newton solve: a strided subset of the seed grid (at most
 ``DESCENT_SEED_CAP`` seeds per ordered component pair) descends L_r down
-``cfg.r_schedule`` with ``cfg.max_iter_per_stage`` iterations per stage,
-each stage settling to ``DESCENT_STAGE_TOL``; the descended endpoints are then polished by
-Gauss-Newton and filtered by the search's length window.  It found no
-chord that Gauss-Newton from the raw grid misses, so the search no longer
-runs it; the oracle keeps the claim checked, and exercises the batched
-flow on the acceptance configurations.
+``R_SCHEDULE`` with ``MAX_ITER_PER_STAGE`` iterations per stage, each stage
+settling to ``DESCENT_STAGE_TOL``; the descended endpoints are then
+polished by Gauss-Newton and filtered by the search's length window.  It
+found no chord that Gauss-Newton from the raw grid misses, so the search no
+longer runs it; the oracle keeps the claim checked, and exercises the
+batched flow on the acceptance configurations.
 
 ``_gauss_newton`` and ``_count_distinct``: the solver and the multiplicity
 count as they were before the search stopped rebuilding tangent frames
@@ -23,11 +34,187 @@ from typing import Iterable
 import numpy as np
 
 from stringhom import chords
+from stringhom.chords import BrokenPath, ParameterOutOfRange
 
 _normalize = chords._normalize
 
+R_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
+MAX_ITER_PER_STAGE = 40
 DESCENT_SEED_CAP = 256
 DESCENT_STAGE_TOL = 1e-4
+
+
+# -- broken paths and the smoothed length --------------------------------------
+
+
+def segment_lengths(path: BrokenPath):
+    return np.linalg.norm(np.diff(path.points, axis=0), axis=1)
+
+
+def polygonal_length(path: BrokenPath) -> float:
+    return float(segment_lengths(path).sum())
+
+
+def copy_with_points(path: BrokenPath, points) -> BrokenPath:
+    return BrokenPath(path.manifold, path.comp0, path.comp1, path.u0, path.u1, points)
+
+
+def l_r_value(path: BrokenPath, r: float) -> float:
+    if r <= 0:
+        raise ParameterOutOfRange("r must be positive")
+    d = np.diff(path.points, axis=0)
+    return float(np.sum(np.sqrt(np.sum(d * d, axis=1) + r)))
+
+
+def _batch_lr(points, r):
+    d = np.diff(points, axis=1)
+    h = np.sum(d * d, axis=2)
+    seg = np.sqrt(h + r)
+    return seg.sum(axis=1), seg.max(axis=1), d, seg
+
+
+def _batch_gradient(manifold, comp0, comp1, u0, u1, points, r):
+    """Interior gradient plus tangent-projected endpoint gradients."""
+    total, fmax, d, seg = _batch_lr(points, r)
+    w = 1.0 / seg
+    g_all = np.zeros_like(points)
+    g_all[:, 1:, :] += d * w[:, :, None]
+    g_all[:, :-1, :] -= d * w[:, :, None]
+    c0 = manifold.components[comp0]
+    c1 = manifold.components[comp1]
+    gu0 = g_all[:, 0, :] @ c0.matrix
+    gu1 = g_all[:, -1, :] @ c1.matrix
+    gu0 -= np.sum(gu0 * u0, axis=1, keepdims=True) * u0
+    gu1 -= np.sum(gu1 * u1, axis=1, keepdims=True) * u1
+    g_int = g_all[:, 1:-1, :]
+    return total, fmax, g_int, gu0, gu1
+
+
+def l_r_gradient(path: BrokenPath, r: float):
+    """Analytic gradient of l_r_value with endpoints constrained to K.
+
+    Returns (interior, g_u0, g_u1): ambient vectors for the free points and
+    sphere-tangent vectors for the two endpoint parameters.
+    """
+    if r <= 0:
+        raise ParameterOutOfRange("r must be positive")
+    total, fmax, g_int, gu0, gu1 = _batch_gradient(
+        path.manifold,
+        path.comp0,
+        path.comp1,
+        path.u0[None, :],
+        path.u1[None, :],
+        path.points[None, :, :],
+        r,
+    )
+    return g_int[0], gu0[0], gu1[0]
+
+
+def _grad_norm(g_int, gu0, gu1):
+    return np.sqrt(
+        np.sum(g_int * g_int, axis=(1, 2))
+        + np.sum(gu0 * gu0, axis=1)
+        + np.sum(gu1 * gu1, axis=1)
+    )
+
+
+class _DescentState:
+    """Batched projected gradient descent with monotone step acceptance.
+
+    A step is accepted only if L_r strictly decreases and the largest
+    smoothed segment does not grow, so both traces are nonincreasing along
+    accepted steps by construction.
+    """
+
+    def __init__(self, manifold, comp0, comp1, u0, u1, points):
+        self.manifold = manifold
+        self.comp0 = comp0
+        self.comp1 = comp1
+        self.u0 = u0.copy()
+        self.u1 = u1.copy()
+        self.points = points.copy()
+        self.step = np.full(len(points), 0.1)
+
+    def run_stage(self, r, grad_tol, max_iter, history=None):
+        c0 = self.manifold.components[self.comp0]
+        c1 = self.manifold.components[self.comp1]
+        gnorm = None
+        for _ in range(max_iter):
+            lr, fmax, g_int, gu0, gu1 = _batch_gradient(
+                self.manifold, self.comp0, self.comp1, self.u0, self.u1, self.points, r
+            )
+            gnorm = _grad_norm(g_int, gu0, gu1)
+            active = (gnorm > grad_tol) & (self.step > 1e-15)
+            if not np.any(active):
+                break
+            s = np.where(active, self.step, 0.0)[:, None]
+            new_u0 = _normalize(self.u0 - s * gu0)
+            new_u1 = _normalize(self.u1 - s * gu1)
+            new_points = self.points.copy()
+            new_points[:, 1:-1, :] -= s[:, :, None] * g_int
+            new_points[:, 0, :] = c0.embed(new_u0)
+            new_points[:, -1, :] = c1.embed(new_u1)
+            new_lr, new_f, _, _ = _batch_lr(new_points, r)
+            accept = active & (new_lr < lr) & (new_f <= fmax)
+            self.u0[accept] = new_u0[accept]
+            self.u1[accept] = new_u1[accept]
+            self.points[accept] = new_points[accept]
+            self.step[accept] = np.minimum(self.step[accept] * 1.3, 1.0)
+            shrink = active & ~accept
+            self.step[shrink] *= 0.5
+            if history is not None and bool(accept[0]):
+                history.append((float(new_lr[0]), float(new_f[0])))
+        if gnorm is None:
+            _, _, g_int, gu0, gu1 = _batch_gradient(
+                self.manifold, self.comp0, self.comp1, self.u0, self.u1, self.points, r
+            )
+            gnorm = _grad_norm(g_int, gu0, gu1)
+        return gnorm
+
+
+def descend(
+    path: BrokenPath,
+    r: float,
+    grad_tol: float = chords.GRAD_TOL,
+    max_iter_per_stage: int = MAX_ITER_PER_STAGE,
+    history: list | None = None,
+) -> BrokenPath:
+    """Gradient descent of L_r for one path; accepted steps are monotone.
+
+    Runs at most ``4 * max_iter_per_stage`` steps.  The returned path
+    carries ``converged`` (gradient below ``grad_tol``).  ``history``
+    (optional list) receives one (L_r, max smoothed segment) pair per
+    accepted step.
+    """
+    if r <= 0:
+        raise ParameterOutOfRange("r must be positive")
+    state = _DescentState(
+        path.manifold,
+        path.comp0,
+        path.comp1,
+        path.u0[None, :],
+        path.u1[None, :],
+        path.points[None, :, :],
+    )
+    gnorm = state.run_stage(r, grad_tol, max_iter_per_stage * 4, history=history)
+    out = BrokenPath(
+        path.manifold, path.comp0, path.comp1, state.u0[0], state.u1[0], state.points[0]
+    )
+    out.converged = bool(gnorm[0] <= grad_tol)
+    return out
+
+
+def refine(path: BrokenPath) -> BrokenPath:
+    """Insert segment midpoints: 2*nu segments, same polygonal length."""
+    pts = path.points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    new = np.empty((2 * path.nu + 1, pts.shape[1]))
+    new[0::2] = pts
+    new[1::2] = mids
+    return copy_with_points(path, new)
+
+
+# -- the descent-then-polish search ---------------------------------------------
 
 
 def descent_search(manifold, cfg):
@@ -39,7 +226,7 @@ def descent_search(manifold, cfg):
     end of that stage.
     """
     bound = cfg.length_bound if cfg.length_bound is not None else np.inf
-    stage_tol = max(cfg.grad_tol, DESCENT_STAGE_TOL)
+    stage_tol = max(chords.GRAD_TOL, DESCENT_STAGE_TOL)
     lengths: list[float] = []
     stages: list[tuple] = []
     ncomp = len(manifold.components)
@@ -54,17 +241,17 @@ def descent_search(manifold, cfg):
             t = np.linspace(0.0, 1.0, cfg.nu + 1)[None, :, None]
             p0, p1 = c0.embed(d0), c1.embed(d1)
             points = (1 - t) * p0[:, None, :] + t * p1[:, None, :]
-            state = chords._DescentState(manifold, i, j, d0, d1, points)
-            for r in cfg.r_schedule:
+            state = _DescentState(manifold, i, j, d0, d1, points)
+            for r in R_SCHEDULE:
                 before = state.points.copy()
-                state.run_stage(r, stage_tol, cfg.max_iter_per_stage)
+                state.run_stage(r, stage_tol, MAX_ITER_PER_STAGE)
                 stages.append((r, before, state.points.copy()))
             out0, out1, resnorm, alive = chords._gauss_newton(
-                manifold, i, j, state.u0, state.u1, cfg.gn_iterations
+                manifold, i, j, state.u0, state.u1, chords.GN_ITERATIONS
             )
-            good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
+            good = alive & (resnorm < chords.GRAD_TOL) & ~np.any(np.isnan(out0), axis=1)
             lens = np.linalg.norm(c1.embed(out1[good]) - c0.embed(out0[good]), axis=1)
-            keep = (lens >= cfg.eps_min) & (lens < bound)
+            keep = (lens >= chords.EPS_MIN) & (lens < bound)
             lengths.extend(float(x) for x in lens[keep])
     return lengths, stages
 

@@ -249,7 +249,7 @@ def test_criterion_08_gradient_finite_differences():
 
 
 def test_criterion_09_flow_monotonicity(spectrum_runs):
-    from chord_oracle import descent_search
+    from chord_oracle import R_SCHEDULE, _batch_lr, descend, descent_search
 
     # Batched descents on the acceptance configurations: every stage ends
     # with each row's L_r and largest smoothed segment no larger than at its
@@ -260,8 +260,8 @@ def test_criterion_09_flow_monotonicity(spectrum_runs):
         cfg = chords.ChordConfig(nu=16, length_bound=bound)
         lengths, stages = descent_search(manifold, cfg)
         for r, before, after in stages:
-            lr0, f0, _, _ = chords._batch_lr(before, r)
-            lr1, f1, _, _ = chords._batch_lr(after, r)
+            lr0, f0, _, _ = _batch_lr(before, r)
+            lr1, f1, _, _ = _batch_lr(after, r)
             assert np.all(lr1 <= lr0), (key, r)
             assert np.all(f1 <= f0), (key, r)
         stages_checked += len(stages)
@@ -272,7 +272,6 @@ def test_criterion_09_flow_monotonicity(spectrum_runs):
     # Direct trace check on explicit descents.
     K = chords.builtin_config("hopf", 2)
     rng = np.random.default_rng(23)
-    cfg = chords.ChordConfig(length_bound=3.5)
     for _ in range(5):
         u0 = rng.standard_normal(2)
         u0 /= np.linalg.norm(u0)
@@ -282,9 +281,9 @@ def test_criterion_09_flow_monotonicity(spectrum_runs):
         path.points[1:-1] += 0.1 * rng.standard_normal(path.points[1:-1].shape)
         history = []
         out = path
-        for r in cfg.r_schedule[:4]:
+        for r in R_SCHEDULE[:4]:
             history_r: list = []
-            out = chords.descend(out, r, cfg, history=history_r)
+            out = descend(out, r, history=history_r)
             values = [v for v, _ in history_r]
             maxes = [f for _, f in history_r]
             assert all(b <= a for a, b in zip(values, values[1:]))

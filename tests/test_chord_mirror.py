@@ -47,14 +47,14 @@ def test_pair_rows_add_up_and_mirror_their_solve(case):
 def _direct_candidates(manifold, i, j, cfg):
     """Window-filtered endpoints and lengths of a Gauss-Newton solve of (i, j)."""
     u0, u1 = chords._seed_grid(manifold, i, j, cfg)
-    out0, out1, resnorm, alive = chords._gauss_newton(manifold, i, j, u0, u1, cfg.gn_iterations)
-    good = alive & (resnorm < cfg.grad_tol) & ~np.any(np.isnan(out0), axis=1)
+    out0, out1, resnorm, alive = chords._gauss_newton(manifold, i, j, u0, u1, chords.GN_ITERATIONS)
+    good = alive & (resnorm < chords.GRAD_TOL) & ~np.any(np.isnan(out0), axis=1)
     out0, out1 = out0[good], out1[good]
     lens = np.linalg.norm(
         manifold.components[j].embed(out1) - manifold.components[i].embed(out0), axis=1
     )
     bound = cfg.length_bound if cfg.length_bound is not None else np.inf
-    keep = (lens >= cfg.eps_min) & (lens < bound)
+    keep = (lens >= chords.EPS_MIN) & (lens < bound)
     return out0[keep], out1[keep], lens[keep]
 
 
@@ -81,14 +81,14 @@ def test_mirror_matches_a_direct_solve_of_the_reversed_pair(case):
     d0, d1, direct_lens = _direct_candidates(manifold, 1, 0, cfg)
     assert len(direct_lens) and len(mirrored_lens)
 
-    want = _clustered(mirrored_lens, cfg.dedup_len_tol)
-    got = _clustered(direct_lens, cfg.dedup_len_tol)
+    want = _clustered(mirrored_lens, chords.DEDUP_LEN_TOL)
+    got = _clustered(direct_lens, chords.DEDUP_LEN_TOL)
     assert len(got) == len(want)
     assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     for key in np.concatenate([d0, d1], axis=1):
         gap = np.min(np.max(np.abs(mirrored_keys - key), axis=1))
-        assert gap < cfg.dedup_pt_tol, (case, key, gap)
+        assert gap < chords.DEDUP_PT_TOL, (case, key, gap)
 
 
 # One-ulp nudges of every coordinate.  Before cross pairs were mirrored,

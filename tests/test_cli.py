@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -209,6 +210,7 @@ class TestChords:
             capsys,
         )
         assert code == 0
+        assert out.splitlines()[0] == "binormal chords:"
         lengths = [
             float(line.split()[1]) for line in out.splitlines() if line.startswith("  length")
         ]
@@ -349,6 +351,40 @@ class TestFileInputs:
         self.check_error(["specseq", "--complex", path, "--a", "3.5"], tmp_path, capsys,
                          "not to --complex")
 
+    def test_save_complex_round_trip(self, tmp_path, capsys):
+        # The documented writer of --complex files: its file gives the pages
+        # of the complex it saved.
+        fc = specseq.from_dga(free_dga.build_hopf(2), free_dga.LengthWindow(Fraction(9, 2)))
+        path = tmp_path / "fc.json"
+        specseq.save_complex(fc, path)
+        back = specseq.load_complex(path)
+        assert back.cells == fc.cells and back.boundary.entries == fc.boundary.entries
+        code, _, _ = run(["specseq", "--complex", str(path), "--rmax", "3",
+                          "--csv", str(tmp_path / "pages.csv"), "--outdir", str(tmp_path)],
+                         capsys)
+        assert code == 0
+        with open(tmp_path / "pages.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        want = [["r", "p", "q", "dim"]] + [
+            [str(t.r if t.r >= 0 else "inf"), str(p), str(q), str(d)]
+            for t in specseq.complex_pages(fc, 3)
+            for p, q, d in t.nonzero()
+        ]
+        assert rows == want
+
+    def test_save_presentation_round_trip(self, tmp_path, capsys):
+        # The documented writer of --presentation files: its file gives the
+        # slices of the presentation it saved.
+        pres = cord.builtin_presentation("hopf_link", 2)
+        path = tmp_path / "p.json"
+        cord.save_presentation(pres, path)
+        code, _, _ = run(["cord", "--presentation", str(path), "--wmax", "4",
+                          "--json", str(tmp_path / "out.json"), "--outdir", str(tmp_path)],
+                         capsys)
+        assert code == 0
+        data = json.loads((tmp_path / "out.json").read_text())
+        assert data["dims"] == cord.quotient_dims_by_wordcount(pres, 4)
+
     def test_presentation_matches_builtin(self, tmp_path, capsys):
         path = _write_json(tmp_path / "p.json", _presentation_data())
         code, out, _ = run(["cord", "--presentation", path, "--wmax", "3", "--compare",
@@ -421,6 +457,21 @@ class TestErrorExits:
     def test_unlink_chords_without_z2star_exit_6(self, tmp_path, capsys):
         err = self.check(["chords", "--builtin", "unlink", "--d", "2"], 6, tmp_path, capsys)
         assert "z2star" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chords", "--builtin", "unlink", "--d", "2"],
+            ["dga-homology", "--builtin", "unlink", "--d", "2", "--degree", "0"],
+            ["distinguish", "--d", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_z2star_exit_6(self, argv, tmp_path, capsys):
+        # One rule on every side: the spacing itself, not its absolute value,
+        # must exceed 2.
+        err = self.check(argv + ["--z2star", "-3"], 6, tmp_path, capsys)
+        assert err.strip() == "error: bad parameter: z2star must exceed 2"
 
     def test_cord_wmax_beyond_bound_exit_6(self, tmp_path, capsys):
         err = self.check(["cord", "--builtin", "hopf_link", "--wmax", "50"], 6, tmp_path, capsys)
@@ -655,7 +706,7 @@ UNREACHABLE = {
     "free_dga.DGAError": "base class, never raised itself; every subclass is mapped",
     "chords.ChordError": "base class, never raised itself; its subclasses are checked here",
     "chords.DegenerateSegment": "every chord of the built-in links has length at least 1, "
-    "far above the eps_min = 1e-3 that makes a segment degenerate",
+    "far above the chords.EPS_MIN = 1e-3 that makes a segment degenerate",
     "lengths.IncompatibleRadicals": "CLI window bounds are rational, and DGA.validate "
     "rejects generator lengths over two radicands as InvalidDGA",
 }
