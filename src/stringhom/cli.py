@@ -60,7 +60,23 @@ def _outdir(args) -> str:
     return out
 
 
-def _write_manifest(args, outputs: list[str]):
+def _write_results(args, result=None, header=None, rows=()) -> None:
+    """Write ``result`` to ``--json``, ``header`` and ``rows`` to ``--csv``, then the manifest.
+
+    Each file is written only if its flag is given; a run that stops early
+    passes neither ``result`` nor ``header`` and leaves just the manifest.
+    """
+    outputs = []
+    if result is not None and getattr(args, "json", None):
+        with open(args.json, "w") as fh:
+            json.dump(result, fh, indent=1, sort_keys=True)
+        outputs.append(args.json)
+    if header is not None and getattr(args, "csv", None):
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        outputs.append(args.csv)
     versions = {"stringhom": __version__, "python": sys.version.split()[0]}
     if "numpy" in sys.modules:
         versions["numpy"] = sys.modules["numpy"].__version__
@@ -74,7 +90,6 @@ def _write_manifest(args, outputs: list[str]):
     path = os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    return path
 
 
 def _load_or_build_dga(args) -> free_dga.DGA:
@@ -115,8 +130,8 @@ def cmd_dga_homology(args) -> int:
     dga = _load_or_build_dga(args)
     window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
     degrees = args.degree if args.degree else []
-    if args.degree_range:
-        lo, hi = args.degree_range
+    if args.degree_bounds:
+        lo, hi = args.degree_bounds
         degrees = list(range(lo, hi + 1))
     dims = free_dga.homology_dims_all(dga, window, degrees)
     rows = [(p, dims[p]) for p in degrees]
@@ -131,19 +146,7 @@ def cmd_dga_homology(args) -> int:
         dims = free_dga.h0_dims_by_wordcount(dga, window, args.wmax)
         result["h0_by_wordcount"] = dims
         print(f"H_0 word-count slices (w=0..{args.wmax}): {dims}")
-    outputs = []
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-        outputs.append(args.json)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["degree", "dim"])
-            for p, d in rows:
-                w.writerow([p, d])
-        outputs.append(args.csv)
-    _write_manifest(args, outputs)
+    _write_results(args, result, ["degree", "dim"], rows)
     return EXIT_OK
 
 
@@ -172,12 +175,7 @@ def cmd_distinguish(args) -> int:
         print(f"degree {p}: linked pair dim = {lh}, spaced pair dim = {lu}")
         print(f"verdict: {verdict}")
         result = {"d": d, "degree": p, "hopf": lh, "unlink": lu, "verdict": verdict}
-    outputs = []
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-        outputs.append(args.json)
-    _write_manifest(args, outputs)
+    _write_results(args, result)
     return EXIT_OK
 
 
@@ -217,33 +215,19 @@ def cmd_chords(args) -> int:
             print(f"warning: window bound {args.a} sits on the length spectrum {near}")
     rate = diagnostics.get("failure_rate", 0.0)
     print(f"seeds {diagnostics.get('seeds', 0)}, failure rate {rate:.3f}")
-    outputs = []
-    if args.json:
-        report = {
-            "config": {
-                "builtin": args.builtin,
-                "d": args.d,
-                "z2star": args.z2star,
-                "a": args.a,
-                "nu": args.nu,
-            },
-            "chords": [r.as_json_dict() for r in results],
-            "diagnostics": {k: v for k, v in diagnostics.items()},
-        }
-        if sums is not None:
-            report["sum_spectrum"] = sums
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-        outputs.append(args.json)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["length", "comp_source", "comp_target", "residual", "multiplicity"])
-            for r in results:
-                w.writerow([f"{r.length:.12f}", r.comp_source, r.comp_target,
-                            f"{r.residual:.3e}", r.multiplicity])
-        outputs.append(args.csv)
-    _write_manifest(args, outputs)
+    report = {
+        "config": {"builtin": args.builtin, "d": args.d, "z2star": args.z2star, "a": args.a,
+                   "nu": args.nu},
+        "chords": [r.as_json_dict() for r in results],
+        "diagnostics": dict(diagnostics),
+    }
+    if sums is not None:
+        report["sum_spectrum"] = sums
+    _write_results(
+        args, report, ["length", "comp_source", "comp_target", "residual", "multiplicity"],
+        ([f"{r.length:.12f}", r.comp_source, r.comp_target, f"{r.residual:.3e}", r.multiplicity]
+         for r in results),
+    )
     if rate > FAILURE_RATE_THRESHOLD:
         print(f"error: failure rate {rate:.3f} exceeds {FAILURE_RATE_THRESHOLD}", file=sys.stderr)
         return EXIT_CHORD_FAILURES
@@ -264,7 +248,7 @@ def cmd_cord(args) -> int:
             print("presentation file: --compare skipped")
     elif not cord.truncation_stable(args.builtin, args.kmax, dims):
         print("error: slice dims unstable under kmax -> kmax+2", file=sys.stderr)
-        _write_manifest(args, [])
+        _write_results(args)
         return EXIT_TRUNCATION
     rows = None
     if args.compare and not args.presentation:
@@ -283,32 +267,18 @@ def cmd_cord(args) -> int:
             for w, cdim, hdim, ok in rows:
                 print(f"  w={w}: cord {cdim}  H_0 {hdim}  {'ok' if ok else 'DIFF'}")
             print("MATCH" if match else "MISMATCH")
-    outputs = []
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if rows is not None:
-                w.writerow(["w", "cord_dim", "h0_dim", "match"])
-                for row in rows:
-                    w.writerow([row[0], row[1], row[2], int(row[3])])
-            else:
-                w.writerow(["w", "cord_dim"])
-                for i, dim in enumerate(dims):
-                    w.writerow([i, dim])
-        outputs.append(args.csv)
-    if args.json:
-        if args.presentation:
-            result = {"presentation": args.presentation, "dims": dims}
-        else:
-            result = {"builtin": args.builtin, "kmax": args.kmax, "dims": dims}
-        if rows is not None:
-            result["comparison"] = [
-                {"w": r[0], "cord_dim": r[1], "h0_dim": r[2], "match": r[3]} for r in rows
-            ]
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-        outputs.append(args.json)
-    _write_manifest(args, outputs)
+    if args.presentation:
+        result = {"presentation": args.presentation, "dims": dims}
+    else:
+        result = {"builtin": args.builtin, "kmax": args.kmax, "dims": dims}
+    if rows is None:
+        _write_results(args, result, ["w", "cord_dim"], enumerate(dims))
+    else:
+        result["comparison"] = [
+            {"w": r[0], "cord_dim": r[1], "h0_dim": r[2], "match": r[3]} for r in rows
+        ]
+        _write_results(args, result, ["w", "cord_dim", "h0_dim", "match"],
+                       ((w, c, h, int(ok)) for w, c, h, ok in rows))
     return EXIT_OK
 
 
@@ -322,20 +292,15 @@ def cmd_specseq(args) -> int:
         if args.forget_f:
             dga = free_dga.forget_F(dga)
         window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-        # Checked on the full DGA, whose lengths include the d/e letters';
-        # the destabilized one has the same pages from E^1 on.
-        window.ensure_valid(dga)
         tables = specseq.dga_pages(dga, window, args.rmax)
     # A failed convergence check has raised before anything is written.
     for t in tables[:-1]:
         print(f"page r={t.r}: " + ", ".join(f"E({p},{q})={d}" for p, q, d in t.nonzero()))
     print("page E-inf: " + ", ".join(f"E({p},{q})={d}" for p, q, d in tables[-1].nonzero()))
     print("convergence to total homology: OK")
-    outputs = []
-    if args.csv:
-        specseq.pages_to_csv(tables, args.csv)
-        outputs.append(args.csv)
-    _write_manifest(args, outputs)
+    _write_results(args, header=["r", "p", "q", "dim"],
+                   rows=(["inf" if t.r < 0 else t.r, p, q, d]
+                         for t in tables for p, q, d in t.nonzero()))
     return EXIT_OK
 
 
@@ -369,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2star", type=_fraction, default=Fraction(3))
     p.add_argument("--a", type=_fraction, default=None, help="length window bound")
     p.add_argument("--degree", type=int, action="append", help="degree to compute")
-    p.add_argument("--degree-range", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--degree-range", type=int, nargs=2, metavar=("LO", "HI"),
+                   dest="degree_bounds")
     p.add_argument("--h0", action="store_true", help="also degree-0 word-count slices")
     p.add_argument("--wmax", type=int, default=4)
     common(p, "json", "csv")
@@ -423,7 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
-    if args.command == "dga-homology" and not (args.degree or args.degree_range or args.h0):
+    if args.command == "dga-homology" and not (args.degree or args.degree_bounds or args.h0):
         parser.error("dga-homology needs --degree, --degree-range or --h0")
     if args.command == "specseq" and args.complex and (args.spec or args.builtin):
         parser.error("specseq --complex excludes --spec and --builtin")
@@ -433,7 +399,8 @@ def main(argv=None) -> int:
         for name in ("m", "rmax"):
             if getattr(args, name, 1) < 1:
                 raise free_dga.ParameterOutOfRange(f"{name} must be at least 1")
-        if getattr(args, "degree_range", None) and args.degree_range[0] > args.degree_range[1]:
+        bounds = getattr(args, "degree_bounds", None)
+        if bounds and bounds[0] > bounds[1]:
             raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")
         # By name, per call: the cached parser holds no function object, so a
         # patched ``cmd_*`` module attribute is the one that runs.

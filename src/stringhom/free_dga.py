@@ -36,7 +36,7 @@ from functools import cached_property, cmp_to_key, partial
 from math import lcm
 from typing import Iterable, Mapping
 
-from . import exactlin
+from . import exactlin, jsonio
 from .exactlin import RowReducer, as_fraction, quotient_slice_dims
 from .lengths import IncompatibleRadicals, Surd, parse_length
 
@@ -78,7 +78,6 @@ class Generator:
     degree: int
     length: Surd
     weight: int = 1
-    tags: tuple | None = None
 
     def __post_init__(self):
         if self.length.sign() <= 0:
@@ -396,7 +395,7 @@ class LengthWindow:
     def realizable_sums(self, dga: DGA) -> list[Surd]:
         """Every sum of generator lengths up to a + 1, in exact order."""
         scaled, (pa, qa), n, denom = _scaled_lengths(dga, self)
-        spectrum = _spectrum(scaled, (pa + denom, qa), n, inclusive=True)
+        spectrum = _spectrum(scaled, (pa + denom, qa), n)
         return [Surd(Fraction(p, denom), Fraction(q, denom), n) for p, q in spectrum]
 
     def ensure_valid(self, dga: DGA) -> None:
@@ -434,7 +433,7 @@ def _window_spectrum(dga: DGA, window: LengthWindow):
     # The radicand is the bound's own when the lengths are rational.
     spectrum = dga._spectra.get((bound, denom, n))
     if spectrum is None:
-        spectrum = dga._spectra[bound, denom, n] = _spectrum(scaled, bound, n, inclusive=True)
+        spectrum = dga._spectra[bound, denom, n] = _spectrum(scaled, bound, n)
     return scaled, bound, n, spectrum
 
 
@@ -460,12 +459,12 @@ def _exact_order(n: int):
     return cmp_to_key(lambda x, y: -1 if _below_bound(*x, *y, n) else int(x != y))
 
 
-def _spectrum(steps, cap: tuple[int, int], n: int, inclusive: bool) -> list[tuple[int, int]]:
-    """Sums of ``steps`` (repeats and the empty sum allowed) below ``cap``, by value.
+def _spectrum(steps, cap: tuple[int, int], n: int) -> list[tuple[int, int]]:
+    """Sums of ``steps`` (repeats and the empty sum allowed) up to ``cap``, by value.
 
-    Breadth-first over integer (p, q) pairs; with ``inclusive`` a sum equal
-    to ``cap`` counts too.  Steps go by exact length, so the first step that
-    overshoots from a base ends that base's row.
+    Breadth-first over integer (p, q) pairs; a sum equal to ``cap`` counts,
+    so a realizable bound shows as the last value.  Steps go by exact
+    length, so the first step that overshoots from a base ends that base's row.
     """
     by_length = _exact_order(n)
     steps = sorted(set(steps), key=by_length)
@@ -476,7 +475,7 @@ def _spectrum(steps, cap: tuple[int, int], n: int, inclusive: bool) -> list[tupl
         for bp, bq in frontier:
             for sp, sq in steps:
                 val = (bp + sp, bq + sq)
-                if not (_below_bound(*val, *cap, n) or inclusive and val == cap):
+                if not (_below_bound(*val, *cap, n) or val == cap):
                     break
                 if val not in seen:
                     seen.add(val)
@@ -760,26 +759,26 @@ def build_hopf(d: int) -> DGA:
         raise ParameterOutOfRange("d must be at least 2")
     gens: list[Generator] = []
 
-    def add(gid, degree, length, weight, tags):
-        gens.append(Generator(gid, degree, Surd.of(length), weight, tags))
+    def add(gid, degree, length, weight):
+        gens.append(Generator(gid, degree, Surd.of(length), weight))
 
     for i, j in _cross():
-        add(f"c0_{i}{j}", d - 2, 1, 1, (i, j))
+        add(f"c0_{i}{j}", d - 2, 1, 1)
     for i in (0, 1):
-        add(f"c1_{i}{i}", 2 * d - 3, 2, 1, (i, i))
+        add(f"c1_{i}{i}", 2 * d - 3, 2, 1)
     for i, j in _cross():
-        add(f"c1_{i}{j}", 2 * d - 3, 1, 1, (i, j))
-        add(f"cb1_{i}{j}", 2 * d - 3, 1, 1, (i, j))
+        add(f"c1_{i}{j}", 2 * d - 3, 1, 1)
+        add(f"cb1_{i}{j}", 2 * d - 3, 1, 1)
     for i, j in _pairs():
-        add(f"c2_{i}{j}", 3 * d - 4, 2 if i == j else 3, 1, (i, j))
+        add(f"c2_{i}{j}", 3 * d - 4, 2 if i == j else 3, 1)
     for i in (0, 1):
-        add(f"d1_{i}{i}", 2 * d - 3, 2, 2, (i, i))
+        add(f"d1_{i}{i}", 2 * d - 3, 2, 2)
     for i, j in _pairs():
-        add(f"d2_{i}{j}", 3 * d - 4, 2 if i == j else 3, 2, (i, j))
+        add(f"d2_{i}{j}", 3 * d - 4, 2 if i == j else 3, 2)
     for i in (0, 1):
-        add(f"e1_{i}{i}", 2 * d - 4, 2, 2, (i, i))
+        add(f"e1_{i}{i}", 2 * d - 4, 2, 2)
     for i, j in _pairs():
-        add(f"e2_{i}{j}", 3 * d - 5, 2 if i == j else 3, 2, (i, j))
+        add(f"e2_{i}{j}", 3 * d - 5, 2 if i == j else 3, 2)
 
     sgn_d = Fraction(-1 if d % 2 else 1)
     zero = AlgebraElement.zero()
@@ -828,22 +827,14 @@ def build_unlink(d: int, z2star) -> DGA:
     cross_len = Surd.sqrt(z * z + 4)
     gens: list[Generator] = []
     for i, j in _cross():
-        gens.append(Generator(f"c0_{i}{j}", d - 2, Surd(z), 1, (i, j)))
+        gens.append(Generator(f"c0_{i}{j}", d - 2, Surd(z)))
     for i in (0, 1):
-        gens.append(Generator(f"c1_{i}{i}", 2 * d - 3, Surd(2), 1, (i, i)))
+        gens.append(Generator(f"c1_{i}{i}", 2 * d - 3, Surd(2)))
     for i, j in _cross():
-        gens.append(Generator(f"c1_{i}{j}", 2 * d - 3, Surd(z), 1, (i, j)))
-        gens.append(Generator(f"cb1_{i}{j}", 2 * d - 3, cross_len, 1, (i, j)))
+        gens.append(Generator(f"c1_{i}{j}", 2 * d - 3, Surd(z)))
+        gens.append(Generator(f"cb1_{i}{j}", 2 * d - 3, cross_len))
     for i, j in _pairs():
-        gens.append(
-            Generator(
-                f"c2_{i}{j}",
-                3 * d - 4,
-                Surd(2) if i == j else cross_len,
-                1,
-                (i, j),
-            )
-        )
+        gens.append(Generator(f"c2_{i}{j}", 3 * d - 4, Surd(2) if i == j else cross_len))
     zero = AlgebraElement.zero()
     diff = {g.id: zero for g in gens}
     return DGA(
@@ -914,20 +905,38 @@ def dga_to_json_dict(dga: DGA) -> dict:
 
 
 def dga_from_json_dict(data: Mapping) -> DGA:
+    """Strict inverse of ``dga_to_json_dict``.
+
+    ``generators`` is required, a list of records with a string ``id``,
+    integer ``degree`` and ``weight`` (default 1) and a ``length`` given as
+    a string or an integer; ``diff`` (default empty) maps generator ids to
+    lists of terms, each with a ``coeff`` (string or integer) and a
+    ``word``, a list of generator ids.  A missing key or a field of the
+    wrong JSON type raises ``InvalidDGA``.
+    """
+
+    def get(record, key, kinds, what, default=jsonio.REQUIRED):
+        return jsonio.field(record, key, kinds, what, InvalidDGA, default)
+
     gens = [
         Generator(
-            spec["id"],
-            int(spec["degree"]),
-            parse_length(spec["length"]),
-            int(spec.get("weight", 1)),
+            get(g, "id", str, "generator"),
+            get(g, "degree", int, "generator"),
+            parse_length(get(g, "length", (str, int), "generator")),
+            get(g, "weight", int, "generator", 1),
         )
-        for spec in data["generators"]
+        for g in get(data, "generators", list, "DGA")
     ]
+    terms = get(data, "diff", dict, "DGA", {})
     diff = {}
-    for gid, terms in data.get("diff", {}).items():
+    for gid in terms:
         el = AlgebraElement.zero()
-        for t in terms:
-            el = el + AlgebraElement.from_word(tuple(t["word"]), Fraction(t["coeff"]))
+        for t in get(terms, gid, list, "diff"):
+            word = get(t, "word", list, "diff term")
+            if not all(type(x) is str for x in word):
+                raise InvalidDGA(f"diff term word must be a list of str, got {word!r}")
+            coeff = get(t, "coeff", (str, int), "diff term")
+            el = el + AlgebraElement.from_word(tuple(word), Fraction(coeff))
         diff[gid] = el
     return DGA(gens, diff, name=str(data.get("name", "")))
 
@@ -938,5 +947,4 @@ def save_dga(dga: DGA, path) -> None:
 
 
 def load_dga(path) -> DGA:
-    with open(path) as fh:
-        return dga_from_json_dict(json.load(fh))
+    return dga_from_json_dict(jsonio.load(path, InvalidDGA))

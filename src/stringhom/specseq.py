@@ -21,14 +21,14 @@ complex only when the DGA does not split by composable segments (see
 ``free_dga.homology_dims_all``); when it does, the window is a direct sum of
 tensor products of segment blocks, and the tensor of a pair with gap g and
 a pair with gap h is two pairs with gap min(g, h), so the window's barcode
-is the blocks' barcodes convolved (``segment_barcode``).  Either way the
-E-oo degree totals must add up to homology computed without persistence,
-or ``ConvergenceFailure`` is raised.
+is the blocks' barcodes convolved (``segment_barcode``).  Either way one
+function, ``pages``, reads E^1..E^r and E-oo off the barcode, and raises
+``ConvergenceFailure`` unless the E-oo degree totals equal homology
+computed without persistence.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -44,7 +44,7 @@ class FilteredComplexError(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """E-oo does not add up to the total homology: a page is wrong."""
+    """The E-oo degree totals differ from the total homology: a page is wrong."""
 
 
 class Cell(NamedTuple):
@@ -56,7 +56,7 @@ class Cell(NamedTuple):
 class FilteredComplex:
     """Finite chain complex with a bounded integer filtration."""
 
-    def __init__(self, cells: list[Cell], boundary: SparseMatrix, validate: bool = True):
+    def __init__(self, cells: list[Cell], boundary: SparseMatrix):
         self.cells = list(cells)
         if boundary.rows != len(cells) or boundary.cols != len(cells):
             raise FilteredComplexError("boundary shape must match the cell count")
@@ -64,9 +64,7 @@ class FilteredComplex:
         self.index = {c.id: i for i, c in enumerate(self.cells)}
         if len(self.index) != len(self.cells):
             raise FilteredComplexError("duplicate cell ids")
-        self._pairs = None
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         for (i, j), v in self.boundary.entries.items():
@@ -83,20 +81,6 @@ class FilteredComplex:
         if square.entries:
             raise FilteredComplexError("boundary squared is nonzero")
 
-    @property
-    def filtration_range(self) -> tuple[int, int]:
-        if not self.cells:
-            return (0, 0)
-        levels = [c.filtration for c in self.cells]
-        return min(levels), max(levels)
-
-    @property
-    def degree_range(self) -> tuple[int, int]:
-        if not self.cells:
-            return (0, 0)
-        degs = [c.degree for c in self.cells]
-        return min(degs), max(degs)
-
     def homology_dims(self) -> dict[int, int]:
         by_degree: dict[int, list[int]] = {}
         for i, c in enumerate(self.cells):
@@ -110,42 +94,26 @@ class FilteredComplex:
             ],
         )
 
-    def persistence_pairs(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """(lead, column) pairs and unpaired cells of one filtered reduction.
+    def barcode(self) -> dict[tuple, int]:
+        """Cells counted by (filtration, degree, gap), from one filtered reduction.
 
         The standard persistence algorithm: cells are ordered by
         (filtration, index) and each boundary column is added in that order
         to a single ``RowReducer`` whose leading entry is the latest cell in
         the order.  A column that leaves a new pivot pairs its cell with the
-        pivot cell; cells in no pair carry the homology.  Computed once per
-        complex and cached.
+        pivot cell, and both carry the pair's filtration gap; a cell in no
+        pair carries the homology, and the gap ``math.inf``.
         """
-        if self._pairs is None:
-            order = sorted(range(len(self.cells)), key=lambda i: (self.cells[i].filtration, i))
-            pos = [0] * len(order)
-            for k, i in enumerate(order):
-                pos[i] = k
-            red = RowReducer(col_key=lambda i: -pos[i])
-            cols = self.boundary.col_dicts()
-            pairs = []
-            for j in order:
-                if cols[j] and red.add(cols[j]):
-                    pairs.append((next(reversed(red.pivots)), j))
-            paired = {c for pair in pairs for c in pair}
-            self._pairs = (pairs, [i for i in order if i not in paired])
-        return self._pairs
-
-    def barcode(self) -> dict[tuple, int]:
-        """Cells counted by (filtration, degree, gap), from ``persistence_pairs``.
-
-        Both cells of a pair carry its filtration gap; an unpaired cell
-        carries ``math.inf``.
-        """
-        pairs, unpaired = self.persistence_pairs()
         cells = self.cells
-        gaps = dict.fromkeys(unpaired, math.inf)
-        for i, j in pairs:
-            gaps[i] = gaps[j] = cells[j].filtration - cells[i].filtration
+        order = sorted(range(len(cells)), key=lambda i: (cells[i].filtration, i))
+        pos = {i: k for k, i in enumerate(order)}
+        red = RowReducer(col_key=lambda i: -pos[i])
+        cols = self.boundary.col_dicts()
+        gaps = dict.fromkeys(order, math.inf)
+        for j in order:
+            if cols[j] and red.add(cols[j]):
+                i = next(reversed(red.pivots))
+                gaps[i] = gaps[j] = cells[j].filtration - cells[i].filtration
         return Counter((cells[k].filtration, cells[k].degree, g) for k, g in gaps.items())
 
     def __repr__(self) -> str:
@@ -170,8 +138,8 @@ class PageTable:
         return out
 
 
-def _page_of(bars: dict[tuple, int], r) -> PageTable:
-    """E^r_(p,q): the cells of ``bars`` at (p, p+q) whose gap is at least r.
+def page(bars: dict[tuple, int], r) -> PageTable:
+    """E^r_(p,q): the cells of the barcode ``bars`` at (p, p+q) whose gap is at least r.
 
     A pair with gap g survives to E^g and is cancelled by the differential
     d^g; with r = ``math.inf`` only the unpaired cells are left, as on E-oo.
@@ -183,60 +151,41 @@ def _page_of(bars: dict[tuple, int], r) -> PageTable:
     return PageTable(r, dims)
 
 
-def page(fc: FilteredComplex, r: int) -> PageTable:
-    """Dimension table of the r-th page (r >= 1), read off the barcode."""
-    if r < 1:
+def pages(bars: dict[tuple, int], rmax: int, homology: Mapping[int, int]) -> list[PageTable]:
+    """E^1..E^rmax of the barcode ``bars``, then E-oo (r = -1).
+
+    Raises ``ConvergenceFailure`` unless the E-oo degree totals equal
+    ``homology``, computed by a route without persistence.
+    """
+    if rmax < 1:
         raise ValueError("page index must be at least 1")
-    return _page_of(fc.barcode(), r)
-
-
-def stable_page_index(fc: FilteredComplex) -> int:
-    lo, hi = fc.filtration_range
-    return hi - lo + 2
-
-
-def einfinity(fc: FilteredComplex) -> PageTable:
-    """Stable page; pages no longer change beyond the filtration width."""
-    table = page(fc, stable_page_index(fc))
-    table.r = -1
-    return table
-
-
-def _adds_up(einf: PageTable, hom: Mapping[int, int]) -> bool:
+    einf = page(bars, math.inf)
+    einf.r = -1
     totals = einf.total_dims()
-    return all(totals.get(n, 0) == hom.get(n, 0) for n in set(totals) | set(hom))
-
-
-def convergence_check(fc: FilteredComplex, einf: PageTable) -> bool:
-    """Does the stable page ``einf`` of ``fc`` add up to its homology in every total degree?"""
-    return _adds_up(einf, fc.homology_dims())
+    if any(totals.get(n, 0) != homology.get(n, 0) for n in set(totals) | set(homology)):
+        raise ConvergenceFailure("E-oo does not add up to the homology")
+    return [page(bars, r) for r in range(1, rmax + 1)] + [einf]
 
 
 def complex_pages(fc: FilteredComplex, rmax: int) -> list[PageTable]:
-    """Pages E^1..E^rmax of ``fc``, then E-oo, once ``convergence_check`` passes."""
-    tables = [page(fc, r) for r in range(1, rmax + 1)]
-    einf = einfinity(fc)
-    if not convergence_check(fc, einf):
-        raise ConvergenceFailure("E-oo does not add up to the homology of the complex")
-    return tables + [einf]
+    """Pages E^1..E^rmax of ``fc``, then E-oo, checked against ``fc.homology_dims``."""
+    return pages(fc.barcode(), rmax, fc.homology_dims())
 
 
 def dga_pages(dga: free_dga.DGA, window: free_dga.LengthWindow, rmax: int) -> list[PageTable]:
     """E^1..E^rmax, then E-oo, of the weight filtration of ``destabilize(dga)``.
 
-    By ``segment_barcode`` when it splits into segments, with E-oo checked
-    against ``free_dga.homology_dims_all`` (no persistence there), else by
-    ``complex_pages`` on ``from_dga``.  Validate ``window`` on ``dga`` first.
+    ``window`` is validated on ``dga``, whose lengths include those of the
+    letters ``destabilize`` drops.  By ``segment_barcode`` when the
+    destabilized DGA splits into segments, with E-oo checked against
+    ``free_dga.homology_dims_all`` (no persistence there), else by
+    ``complex_pages`` on ``from_dga``.
     """
+    window.ensure_valid(dga)
     small = free_dga.destabilize(dga)
     if small._ends is None:
         return complex_pages(from_dga(small, window), rmax)
-    bars = segment_barcode(small, window)
-    einf = _page_of(bars, math.inf)
-    einf.r = -1
-    if not _adds_up(einf, free_dga.homology_dims_all(dga, window)):
-        raise ConvergenceFailure("E-oo of the segment blocks does not add up to the homology")
-    return [_page_of(bars, r) for r in range(1, rmax + 1)] + [einf]
+    return pages(segment_barcode(small, window), rmax, free_dga.homology_dims_all(dga, window))
 
 
 def _tensor(a: tuple, b: tuple) -> tuple:
@@ -356,13 +305,3 @@ def save_complex(fc: FilteredComplex, path) -> None:
 
 def load_complex(path) -> FilteredComplex:
     return complex_from_json_dict(jsonio.load(path, FilteredComplexError))
-
-
-def pages_to_csv(tables: list[PageTable], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "p", "q", "dim"])
-        for t in tables:
-            label = "inf" if t.r < 0 else t.r
-            for p, q, d in t.nonzero():
-                writer.writerow([label, p, q, d])

@@ -1,4 +1,4 @@
-"""Subquotient page engine, kept as the test oracle for ``specseq.page``.
+"""Subquotient page engine, kept as the test oracle for ``specseq.pages``.
 
 Computes each page straight from the defining formula
 
@@ -19,7 +19,23 @@ from fractions import Fraction
 
 from stringhom import exactlin
 from stringhom.exactlin import RowReducer, SparseMatrix, Subspace
-from stringhom.specseq import FilteredComplex, PageTable, stable_page_index
+from stringhom.specseq import FilteredComplex, PageTable
+
+
+def filtration_range(fc: FilteredComplex) -> tuple[int, int]:
+    levels = [c.filtration for c in fc.cells]
+    return (min(levels), max(levels)) if levels else (0, 0)
+
+
+def degree_range(fc: FilteredComplex) -> tuple[int, int]:
+    degs = [c.degree for c in fc.cells]
+    return (min(degs), max(degs)) if degs else (0, 0)
+
+
+def stable_page_index(fc: FilteredComplex) -> int:
+    """A page index past which pages no longer change: the filtration width plus 2."""
+    lo, hi = filtration_range(fc)
+    return hi - lo + 2
 
 
 def kernel_basis(m: SparseMatrix) -> Subspace:
@@ -53,7 +69,7 @@ class _PageEngine:
         self.n_cells = len(fc.cells)
         self.cols = fc.boundary.col_dicts()
         self._z_cache: dict = {}
-        lo, hi = fc.filtration_range
+        lo, hi = filtration_range(fc)
         self.p_min, self.p_max = lo, hi
         self.width = hi - lo
 
@@ -128,7 +144,7 @@ class _PageEngine:
 def oracle_pages(fc: FilteredComplex, rs) -> list[PageTable]:
     """Page tables for each r in ``rs``; r = -1 stands for E-oo."""
     eng = _PageEngine(fc)
-    n_lo, n_hi = fc.degree_range
+    n_lo, n_hi = degree_range(fc)
     tables = []
     for r in rs:
         r_eff = stable_page_index(fc) if r < 0 else r

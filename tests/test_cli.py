@@ -626,6 +626,22 @@ class TestErrorExits:
                          3, tmp_path, capsys)
         assert "C1_00" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("degree", 1.7), ("weight", True), ("coeff", 0.5), ("word", "xx")],
+        ids=["float_degree", "bool_weight", "float_coeff", "string_word"],
+    )
+    def test_loosely_typed_spec_field_exit_3(self, field, value, tmp_path, capsys):
+        # Each value once read as a nearby valid one: 1, 1, 1/2 and ["x", "x"].
+        gens = [{"id": "x", "degree": 0, "length": "1", "weight": 1},
+                {"id": "g", "degree": 1, "length": "2", "weight": 1}]
+        term = {"coeff": "1", "word": ["x", "x"]}
+        (term if field in term else gens[1])[field] = value
+        spec = _write_json(tmp_path / "loose.json", {"generators": gens, "diff": {"g": [term]}})
+        err = self.check(["dga-homology", "--spec", spec, "--degree", "0", "--a", "5/2"],
+                         3, tmp_path, capsys)
+        assert err.startswith("error: invalid DGA: ") and repr(field) in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -9,6 +9,7 @@ the pair must stay.
 """
 
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from stringhom.free_dga import (
     save_dga,
 )
 from stringhom.lengths import Surd
-from stringhom.specseq import einfinity, from_dga, page
+from stringhom.specseq import from_dga, page
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -255,9 +256,10 @@ def test_pages_match_full_complex(name):
     dga, window = build(), LengthWindow(a)
     full, small = from_dga(dga, window), from_dga(destabilize(dga), window)
     assert len(small.cells) < len(full.cells)
+    small_bars, full_bars = small.barcode(), full.barcode()
     for r in range(1, 5):
-        assert page(small, r).dims == page(full, r).dims, r
-    assert einfinity(small).dims == einfinity(full).dims
+        assert page(small_bars, r).dims == page(full_bars, r).dims, r
+    assert page(small_bars, math.inf).dims == page(full_bars, math.inf).dims
 
 
 @pytest.mark.parametrize("command", [

@@ -66,7 +66,7 @@ def _segment_pages(dga, window):
 
 def _complex_pages(dga, window, rs):
     fc = specseq.from_dga(destabilize(dga), window)
-    return [specseq.page(fc, r).dims for r in rs] + [specseq.einfinity(fc).dims]
+    return [t.dims for t in specseq.complex_pages(fc, rs[-1])]
 
 
 def _window_euler(dga, window) -> int:
@@ -163,5 +163,5 @@ def test_shorter_term_spec_takes_from_dga_route(monkeypatch):
     monkeypatch.setattr(free_dga, "_segments", refuse)
     tables = specseq.dga_pages(dga, window, 4)
     fc = specseq.from_dga(dga, window)
-    want = [specseq.page(fc, r) for r in range(1, 5)] + [specseq.einfinity(fc)]
+    want = specseq.complex_pages(fc, 4)
     assert [(t.r, t.dims) for t in tables] == [(t.r, t.dims) for t in want]

@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import dga_oracle
 import pytest
-from page_oracle import associated_graded_homology, oracle_pages
+from page_oracle import associated_graded_homology, oracle_pages, stable_page_index
 
-from stringhom import exactlin, free_dga
+from stringhom import cli, exactlin, free_dga
 from stringhom.cli import _valid_window
 from stringhom.exactlin import RowReducer, SparseMatrix
 from stringhom.lengths import Surd
@@ -14,13 +15,11 @@ from stringhom.specseq import (
     FilteredComplex,
     FilteredComplexError,
     complex_from_json_dict,
+    complex_pages,
     complex_to_json_dict,
-    convergence_check,
-    einfinity,
     from_dga,
     page,
-    pages_to_csv,
-    stable_page_index,
+    save_complex,
 )
 
 
@@ -86,6 +85,12 @@ def random_filtered_complex(seed: int, ncells: int = 10) -> FilteredComplex:
     return random_filtered_pair(seed, ncells)[1]
 
 
+def einf_adds_up(fc: FilteredComplex) -> bool:
+    """Do the E-oo degree totals of ``complex_pages`` equal ``fc``'s homology?"""
+    totals, hom = complex_pages(fc, 1)[-1].total_dims(), fc.homology_dims()
+    return all(totals.get(n, 0) == hom.get(n, 0) for n in set(totals) | set(hom))
+
+
 @pytest.fixture(scope="module")
 def hopf_complex():
     dga = free_dga.build_hopf(2)
@@ -147,30 +152,32 @@ class TestPages:
     def test_zero_boundary_pages_constant(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1), Cell("c", 1, -1)]
         fc = FilteredComplex(cells, SparseMatrix(3, 3))
-        first = page(fc, 1)
+        bars = fc.barcode()
+        first = page(bars, 1)
         assert first.dim(0, 0) == 1
         assert first.dim(-1, 2) == 2
         for r in (2, 3, 5):
-            assert page(fc, r).dims == first.dims
-        assert einfinity(fc).dims == first.dims
+            assert page(bars, r).dims == first.dims
+        assert complex_pages(fc, 1)[-1].dims == first.dims
 
     def test_page_index_validated(self, hopf_complex):
         with pytest.raises(ValueError):
-            page(hopf_complex, 0)
+            complex_pages(hopf_complex, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_first_page_is_graded_homology(self, seed):
         fc = random_filtered_complex(seed)
-        e1 = page(fc, 1)
+        e1 = page(fc.barcode(), 1)
         gr = associated_graded_homology(fc)
         assert {k: v for k, v in e1.dims.items() if v} == gr
 
     @pytest.mark.parametrize("seed", range(8))
     def test_entrywise_monotone(self, seed):
         fc = random_filtered_complex(seed)
-        prev = page(fc, 1)
+        bars = fc.barcode()
+        prev = page(bars, 1)
         for r in range(2, stable_page_index(fc) + 1):
-            cur = page(fc, r)
+            cur = page(bars, r)
             keys = set(prev.dims) | set(cur.dims)
             for key in keys:
                 assert cur.dim(*key) <= prev.dim(*key)
@@ -179,28 +186,28 @@ class TestPages:
     @pytest.mark.parametrize("seed", range(8))
     def test_pages_stabilize(self, seed):
         fc = random_filtered_complex(seed)
-        r0 = stable_page_index(fc)
-        assert page(fc, r0).dims == page(fc, r0 + 2).dims
+        r0, bars = stable_page_index(fc), fc.barcode()
+        assert page(bars, r0).dims == page(bars, r0 + 2).dims
 
     @pytest.mark.parametrize("seed", range(12))
     def test_convergence_random(self, seed):
         fc = random_filtered_complex(seed, ncells=12)
-        assert convergence_check(fc, einfinity(fc))
+        assert einf_adds_up(fc)
 
     def test_convergence_hopf(self, hopf_complex):
-        assert convergence_check(hopf_complex, einfinity(hopf_complex))
+        assert einf_adds_up(hopf_complex)
 
     def test_convergence_zero_boundary(self):
         cells = [Cell("a", 0, 0), Cell("b", 1, -1)]
         fc = FilteredComplex(cells, SparseMatrix(2, 2))
-        assert convergence_check(fc, einfinity(fc))
+        assert einf_adds_up(fc)
 
     def test_first_page_diagonal_counts_chord_words(self, hopf_complex):
         # Words built from weight-1 generators survive to the first page;
         # at total degree zero the (-m, m) entry counts the m-letter ones.
         dga = free_dga.build_hopf(2)
         window = free_dga.LengthWindow(Fraction(7, 2))
-        e1 = page(hopf_complex, 1)
+        e1 = page(hopf_complex.barcode(), 1)
         for m in range(0, 4):
             count = sum(
                 1
@@ -220,9 +227,9 @@ class TestComparison:
     @pytest.mark.parametrize("seed", range(6))
     def test_homology_matches_across_e1_isomorphism(self, seed):
         plain, conjugated = random_filtered_pair(seed)
-        assert page(plain, 1).dims == page(conjugated, 1).dims
+        assert page(plain.barcode(), 1).dims == page(conjugated.barcode(), 1).dims
         assert plain.homology_dims() == conjugated.homology_dims()
-        total_e_inf = einfinity(conjugated).total_dims()
+        total_e_inf = page(conjugated.barcode(), math.inf).total_dims()
         hom = plain.homology_dims()
         for n in set(total_e_inf) | set(hom):
             assert total_e_inf.get(n, 0) == hom.get(n, 0)
@@ -265,14 +272,14 @@ def random_spec_dga(seed: int) -> free_dga.DGA:
 class TestThreeRoutes:
     """``homology_dims_all``, the filtered complex's homology and the E-oo
     degree totals agree: the first ranks words of the window by degree, the
-    second ranks the boundary of ``from_dga``, the third reads persistence
-    pairs.
+    second ranks the boundary of ``from_dga``, the third reads the barcode
+    of persistence pairs.
     """
 
     def check(self, dga, window):
         fc = from_dga(dga, window)
         routes = [free_dga.homology_dims_all(dga, window), fc.homology_dims(),
-                  einfinity(fc).total_dims()]
+                  page(fc.barcode(), math.inf).total_dims()]
         first, *rest = [{n: d for n, d in dims.items() if d} for dims in routes]
         assert rest == [first, first]
 
@@ -304,7 +311,10 @@ class TestIO:
 
     def test_csv(self, tmp_path, hopf_complex):
         path = tmp_path / "pages.csv"
-        pages_to_csv([page(hopf_complex, 1), einfinity(hopf_complex)], path)
+        save_complex(hopf_complex, tmp_path / "fc.json")
+        argv = ["specseq", "--complex", str(tmp_path / "fc.json"), "--rmax", "1",
+                "--csv", str(path), "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,p,q,dim"
         assert any(line.startswith("inf,") for line in lines[1:])
@@ -313,7 +323,7 @@ class TestIO:
 def _all_pages(fc):
     """Pages 1 .. width + 2 followed by E-oo, with the r list used."""
     rs = list(range(1, stable_page_index(fc) + 1))
-    return rs + [-1], [page(fc, r) for r in rs] + [einfinity(fc)]
+    return rs + [-1], complex_pages(fc, rs[-1])
 
 
 class TestPersistenceOracle:
@@ -344,20 +354,10 @@ class TestPersistenceOracle:
     def test_dga_windows(self, dga, a):
         self.check(from_dga(dga, free_dga.LengthWindow(a)))
 
-    def test_pairs_computed_once(self, hopf_complex):
-        first = hopf_complex.persistence_pairs()
-        page(hopf_complex, 2)
-        convergence_check(hopf_complex, einfinity(hopf_complex))
-        assert hopf_complex.persistence_pairs() is first
-
     def test_pairs_and_unpaired_partition_cells(self, hopf_complex):
-        pairs, unpaired = hopf_complex.persistence_pairs()
-        ends = [c for pair in pairs for c in pair] + unpaired
-        assert sorted(ends) == list(range(len(hopf_complex.cells)))
-        cells = hopf_complex.cells
-        for i, j in pairs:
-            assert cells[i].degree == cells[j].degree - 1
-            assert cells[i].filtration <= cells[j].filtration
+        bars = hopf_complex.barcode()
+        assert sum(bars.values()) == len(hopf_complex.cells)
+        assert all(gap >= 0 for _, _, gap in bars)
 
 
 RANDOM_COMPLEXES = [(seed, ncells, 1) for seed in range(12) for ncells in (10, 12)] + [
