@@ -27,7 +27,7 @@ nearby representatives through a grid of cells of the dedup tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 from typing import Iterable
 
 import numpy as np
@@ -143,6 +143,8 @@ def builtin_config(name: str, d: int, z2star: float | None = None) -> ParamSubma
     if name == "unlink":
         if z2star is None:
             raise ParameterOutOfRange("unlink needs z2star")
+        if not isfinite(z2star):
+            raise ParameterOutOfRange("z2star must be finite")
         if z2star <= 2:
             raise ParameterOutOfRange("z2star must exceed 2")
         offset = np.zeros(n)
@@ -181,6 +183,8 @@ class ChordConfig:
         for name in ("nu", "seeds_per_circle", "seeds_per_sphere"):
             if getattr(self, name) < 1:
                 raise ParameterOutOfRange(f"{name} must be positive")
+        if self.length_bound is not None and not isfinite(self.length_bound):
+            raise ParameterOutOfRange("length_bound must be finite")
         if self.length_bound is not None and self.length_bound <= 0:
             raise ParameterOutOfRange("length_bound must be positive")
 

@@ -51,7 +51,10 @@ FAILURE_RATE_THRESHOLD = 0.2
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
 def _outdir(args) -> str:

@@ -19,10 +19,11 @@ Two families are built in:
 ``forget_F`` drops the linking part, which exhibits the hopf algebra as a
 stabilization of its chord subalgebra; homology then counts pure chord
 words.  ``destabilize`` splits the d/e pairs off with F kept, and homology
-and the degree-0 slices are computed on the chord letters that remain: by
-composable segments, ranked small and convolved, when every term of every
-D(g) is exactly as long as g (as in both families), and degree by degree
-over the whole window otherwise (see ``homology_dims_all``).
+and the degree-0 slices are computed on the chord letters that remain,
+block by block (``_over_blocks``): the blocks are composable segments,
+ranked small and convolved, when every term of every D(g) is exactly as
+long as g (as in both families), and the whole window is one block
+otherwise.
 """
 
 from __future__ import annotations
@@ -595,30 +596,46 @@ def homology_dims_all(
     """Homology dimensions at ``degrees``, or at every populated degree.
 
     Runs on ``destabilize(dga)``; "every populated degree" is read off the
-    original window.  If a term of some D(g) is shorter than g or empty
-    (``DGA._ends`` is None), ``blockwise.blockwise_dims`` ranks the window
-    degree by degree.  Otherwise D keeps each maximal composable run of a
+    original window.  ``_over_blocks`` ranks each block with
+    ``_segment_homology``: where D keeps each maximal composable run of a
     word, with its end classes and exact length, and the breakpoints
-    between runs, so the window is a direct sum of tensor products of
-    segment complexes (Koszul signs are the Leibniz rule's), and Künneth
-    over Q multiplies their homology: ``_segment_homology`` ranks each
-    segment block and ``_convolve`` sums the products by degree.
+    between runs, the window is a direct sum of tensor products of segment
+    complexes (Koszul signs are the Leibniz rule's), and Künneth over Q
+    multiplies their homology; otherwise the whole window is one block.
+    """
+    wanted = None if degrees is None else sorted(set(degrees))
+    if wanted == []:
+        window.ensure_valid(dga)
+        return {}
+    cap = wanted[-1] if wanted and dga.nonneg_graded else None
+    dims = _over_blocks(dga, window, None if cap is None else cap + 1, cap, _segment_homology)
+    if wanted is None:
+        wanted = _degree_counts(_moves(dga, window), None)
+    return {p: dims.get(p, 0) for p in wanted}
+
+
+def _over_blocks(dga: DGA, window: LengthWindow, deg_cap: int | None, cap: int | None,
+                 measure, combine=operator.add, unit=0) -> dict:
+    """``measure`` over the blocks of ``destabilize(dga)``'s window, keys above ``cap`` dropped.
+
+    The window is validated on ``dga`` first.  ``measure(small_dga, words
+    by degree)`` gives a block that D maps into itself a piece {key: dim}.
+    Where the destabilized DGA splits (``DGA._ends`` is not None), the
+    blocks are its segment blocks and ``_convolve`` combines their pieces by
+    ``combine`` from ``unit``; otherwise the whole window is one block and
+    its piece is the answer.  A block holds its words up to degree
+    ``deg_cap``, which only a nonnegative grading may set.
     """
     window.ensure_valid(dga)
-    if degrees is None:
-        degrees = _degree_counts(_moves(dga, window), None)
-    wanted = sorted(set(degrees))
-    if not wanted:
-        return {}
     dga = destabilize(dga)
-    moves = _moves(dga, window)
     if dga._ends is None:
-        from .blockwise import blockwise_dims
-        return blockwise_dims(dga, moves, wanted)
-    cap = wanted[-1] if dga.nonneg_graded else None
-    dims = _convolve(dga, moves, None if cap is None else cap + 1, cap,
-                     partial(_segment_homology, dga))
-    return {p: dims.get(p, 0) for p in wanted}
+        degree = {g.id: g.degree for g in dga.generators}.__getitem__
+        by_deg: dict[int, list[Word]] = {}
+        for w in _enumerate_words(dga, window, None, deg_cap):
+            by_deg.setdefault(sum(map(degree, w)), []).append(w)
+        return {k: v for k, v in measure(dga, by_deg).items() if cap is None or k <= cap}
+    return _convolve(dga, _moves(dga, window), deg_cap, cap, partial(measure, dga),
+                     combine, unit)
 
 
 def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, list[Word]]]:
@@ -640,7 +657,7 @@ def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, l
 
 
 def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measure,
-              combine=operator.add, unit=0) -> dict:
+              combine, unit) -> dict:
     """Sum, over sequences of segment blocks that fit, of the product of their pieces.
 
     ``measure(words by degree)`` gives each block of ``_segments(dga, moves,
@@ -676,8 +693,8 @@ def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measu
 
 
 def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
-    """Nonzero homology of one segment block, whose D keeps it.  A degree cut off
-    by ``_segments``' cap leaves the one below it too high; ``_convolve`` drops it."""
+    """Nonzero homology of one block, whose D keeps it.  A degree cut off by the
+    block's degree cap leaves the one below it too high; ``_over_blocks`` drops it."""
     index = {p: {w: i for i, w in enumerate(ws)} for p, ws in by_deg.items()}
 
     def rows(p, cleared):
@@ -688,8 +705,8 @@ def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]
     return {p: h for p, h in dims.items() if h}
 
 
-def _segment_h0(dga: DGA, wmax: int, by_deg: dict[int, list[Word]]) -> dict[int, int]:
-    """Nonzero letter-count slices, up to ``wmax``, of one segment block's H_0."""
+def _segment_h0(dga: DGA, by_deg: dict[int, list[Word]], wmax: int) -> dict[int, int]:
+    """Nonzero letter-count slices, up to ``wmax``, of one block's H_0."""
     # Columns heaviest first, so that each pivot is the longest word of its row.
     columns = sorted(by_deg.get(0, ()), key=lambda w: (-len(w), w))
     red = RowReducer()
@@ -712,7 +729,7 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
     dimensions reported are those of the induced filtration: dim
     F_w/F_{w-1} where F_w is spanned by words with at most w letters.  All
     of this runs on ``destabilize(dga)``, whose substitution keeps letter
-    count: by segments (``_segment_h0``) where ``homology_dims_all`` would.
+    count, block by block as ``homology_dims_all`` runs (``_segment_h0``).
 
     Why the slices convolve over segments: each word lies in one summand of
     the segment splitting, so F_w and B split along it and the slices add
@@ -727,13 +744,7 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
     """
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
-    window.ensure_valid(dga)
-    dga = destabilize(dga)
-    moves = _moves(dga, window)
-    if dga._ends is None:
-        from .blockwise import blockwise_h0
-        return blockwise_h0(dga, moves, wmax)
-    total = _convolve(dga, moves, 1, wmax, partial(_segment_h0, dga, wmax))
+    total = _over_blocks(dga, window, 1, wmax, partial(_segment_h0, wmax=wmax))
     return [total.get(w, 0) for w in range(wmax + 1)]
 
 

@@ -16,15 +16,15 @@ reduction, ordered by (filtration, index).
 
 ``from_dga`` realizes the weight filtration of a length-windowed free DGA:
 cells are words, the filtration level of a word is minus its total weight,
-and the boundary is the algebra differential.  ``dga_pages`` builds that
-complex only when the DGA does not split by composable segments (see
-``free_dga.homology_dims_all``); when it does, the window is a direct sum of
+and the boundary is the algebra differential.  ``dga_barcode`` builds that
+complex block by block, as ``free_dga.homology_dims_all`` ranks it: where
+the DGA splits by composable segments, the window is a direct sum of
 tensor products of segment blocks, and the tensor of a pair with gap g and
 a pair with gap h is two pairs with gap min(g, h), so the window's barcode
-is the blocks' barcodes convolved (``segment_barcode``).  Either way one
-function, ``pages``, reads E^1..E^r and E-oo off the barcode, and raises
-``ConvergenceFailure`` unless the E-oo degree totals equal homology
-computed without persistence.
+is the blocks' barcodes convolved; otherwise the whole window is one
+block.  One function, ``pages``, reads E^1..E^r and E-oo off the barcode,
+and raises ``ConvergenceFailure`` unless the E-oo degree totals equal
+homology computed without persistence.
 """
 
 from __future__ import annotations
@@ -175,17 +175,10 @@ def complex_pages(fc: FilteredComplex, rmax: int) -> list[PageTable]:
 def dga_pages(dga: free_dga.DGA, window: free_dga.LengthWindow, rmax: int) -> list[PageTable]:
     """E^1..E^rmax, then E-oo, of the weight filtration of ``destabilize(dga)``.
 
-    ``window`` is validated on ``dga``, whose lengths include those of the
-    letters ``destabilize`` drops.  By ``segment_barcode`` when the
-    destabilized DGA splits into segments, with E-oo checked against
-    ``free_dga.homology_dims_all`` (no persistence there), else by
-    ``complex_pages`` on ``from_dga``.
+    Read off ``dga_barcode``, with E-oo checked against
+    ``free_dga.homology_dims_all`` (no persistence there).
     """
-    window.ensure_valid(dga)
-    small = free_dga.destabilize(dga)
-    if small._ends is None:
-        return complex_pages(from_dga(small, window), rmax)
-    return pages(segment_barcode(small, window), rmax, free_dga.homology_dims_all(dga, window))
+    return pages(dga_barcode(dga, window), rmax, free_dga.homology_dims_all(dga, window))
 
 
 def _tensor(a: tuple, b: tuple) -> tuple:
@@ -193,19 +186,20 @@ def _tensor(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0], a[1] + b[1], min(a[2], b[2])
 
 
-def segment_barcode(dga: free_dga.DGA, window: free_dga.LengthWindow) -> dict[tuple, int]:
-    """Barcode of the window's weight-filtered complex, convolved from its segment blocks.
+def dga_barcode(dga: free_dga.DGA, window: free_dga.LengthWindow) -> dict[tuple, int]:
+    """Barcode of the weight-filtered complex of ``destabilize(dga)``'s window.
 
-    ``dga`` is destabilized and splits (``DGA._ends`` is not None).  Each
-    block of ``free_dga._segments`` is built as ``from_dga`` builds the
-    window, and its barcode read off; a tensor of pairs with gaps g and h
-    splits into two pairs with gap min(g, h), so keys combine by ``_tensor``.
+    ``window`` is validated on ``dga``, whose lengths include those of the
+    letters ``destabilize`` drops.  Each block of ``free_dga._over_blocks``
+    is built as ``from_dga`` builds the window, and its barcode read off; a
+    tensor of pairs with gaps g and h splits into two pairs with gap
+    min(g, h), so the segment blocks' keys combine by ``_tensor``.
     """
-    def block_barcode(by_deg):
-        return _complex(dga, [w for words in by_deg.values() for w in words]).barcode()
+    def block_barcode(small, by_deg):
+        return _complex(small, [w for words in by_deg.values() for w in words]).barcode()
 
-    return free_dga._convolve(dga, free_dga._moves(dga, window), None, None, block_barcode,
-                              _tensor, (0, 0, math.inf))
+    return free_dga._over_blocks(dga, window, None, None, block_barcode,
+                                 _tensor, (0, 0, math.inf))
 
 
 def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComplex:

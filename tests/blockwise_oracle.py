@@ -1,15 +1,16 @@
-"""Homology of a whole length window, degree by degree: the route
-``free_dga`` imports for DGAs that do not split by composable segments,
-and the tests' reference route."""
+"""Homology of a whole length window, degree by degree, counting each
+degree's basis and walking only the words with a live letter: the tests'
+reference route for ``free_dga.homology_dims_all`` and
+``free_dga.h0_dims_by_wordcount``."""
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
 
-from . import exactlin
-from .exactlin import RowReducer, quotient_slice_dims
-from .free_dga import DGA, UNIT, Word, _degree_counts, _diff_rows
+from stringhom import exactlin
+from stringhom.exactlin import RowReducer, quotient_slice_dims
+from stringhom.free_dga import DGA, UNIT, Word, _degree_counts, _diff_rows
 
 
 def _live_words(dga: DGA, moves: list, degrees: set[int]) -> dict[int, list[Word]]:

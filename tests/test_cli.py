@@ -530,8 +530,13 @@ class TestErrorExits:
             ("--sphere-seeds", "-3", "seeds_per_sphere must be positive"),
             ("--a", "0", "length_bound must be positive"),
             ("--a", "-1", "length_bound must be positive"),
+            ("--a", "nan", "length_bound must be finite"),
+            ("--a", "inf", "length_bound must be finite"),
+            ("--z2star", "nan", "z2star must be finite"),
+            ("--z2star", "inf", "z2star must be finite"),
         ],
-        ids=["circle_seeds_0", "sphere_seeds_-3", "a_0", "a_-1"],
+        ids=["circle_seeds_0", "sphere_seeds_-3", "a_0", "a_-1", "a_nan", "a_inf",
+             "z2star_nan", "z2star_inf"],
     )
     def test_chords_empty_search_exit_6_before_search(
         self, flag, value, message, tmp_path, capsys, monkeypatch
@@ -540,8 +545,9 @@ class TestErrorExits:
             raise AssertionError("the chord search ran")
 
         monkeypatch.setattr(chords, "find_spectrum", no_search)
-        # A repeated --a takes its last value.
-        argv = ["chords", "--builtin", "hopf", "--d", "3", "--a", "3.5", flag, value]
+        # A repeated --a takes its last value; --z2star is read by unlink only.
+        builtin = "unlink" if flag == "--z2star" else "hopf"
+        argv = ["chords", "--builtin", builtin, "--d", "3", "--a", "3.5", flag, value]
         err = self.check(argv, 6, tmp_path, capsys)
         assert message in err
 
@@ -549,7 +555,7 @@ class TestErrorExits:
         def no_build(*args, **kwargs):
             raise AssertionError("the complex was built")
 
-        monkeypatch.setattr(specseq, "from_dga", no_build)
+        monkeypatch.setattr(specseq, "dga_barcode", no_build)
         for rmax in ("0", "-2"):
             err = self.check(["specseq", "--builtin", "hopf", "--a", "3.5", "--rmax", rmax],
                              6, tmp_path, capsys)
@@ -569,22 +575,23 @@ class TestErrorExits:
         err = self.check(["specseq", "--spec", str(spec), "--a", "2.5"], 6, tmp_path, capsys)
         assert "raises filtration" in err
 
-    @pytest.mark.parametrize("route", ["segments", "from_dga", "complex"])
+    @pytest.mark.parametrize("route", ["segments", "one-block", "complex"])
     def test_specseq_failed_convergence_exit_7_before_output(
         self, route, tmp_path, capsys, monkeypatch
     ):
         inputs = tmp_path / "in"
         inputs.mkdir()
-        if route == "segments":
-            # hopf(2) splits into segments; its E-oo is checked against this.
-            monkeypatch.setattr(free_dga, "homology_dims_all", lambda *args: {0: 99})
-            argv = ["specseq", "--builtin", "hopf", "--a", "3.5"]
-        else:
+        if route == "complex":
             monkeypatch.setattr(specseq.FilteredComplex, "homology_dims", lambda fc: {0: 99})
-            if route == "complex":
-                argv = ["specseq", "--complex", _write_json(inputs / "fc.json", _complex_data())]
+            argv = ["specseq", "--complex", _write_json(inputs / "fc.json", _complex_data())]
+        else:
+            # A DGA's E-oo is checked against this, on either route.
+            monkeypatch.setattr(free_dga, "homology_dims_all", lambda *args: {0: 99})
+            if route == "segments":
+                # hopf(2) splits into segments.
+                argv = ["specseq", "--builtin", "hopf", "--a", "3.5"]
             else:
-                # D(g) = x·y - z with z shorter than g: no segments, so from_dga.
+                # D(g) = x·y - z with z shorter than g: no segments, one block.
                 gens = [{"id": x, "degree": 0, "length": "1"} for x in "xyz"]
                 gens.append({"id": "g", "degree": 1, "length": "2"})
                 diff = {"g": [{"coeff": "1", "word": ["x", "y"]},
@@ -662,6 +669,24 @@ def test_dga_homology_without_degrees_is_usage_error(tmp_path, capsys):
         cli.main(["dga-homology", "--builtin", "hopf", "--a", "3.5", "--outdir", str(tmp_path)])
     assert exc.value.code == 2
     assert "needs --degree, --degree-range or --h0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["dga-homology", "--builtin", "hopf", "--a", "1/0", "--degree", "0"], "--a"),
+     (["dga-homology", "--builtin", "unlink", "--z2star", "1/0", "--degree", "0"], "--z2star"),
+     (["specseq", "--builtin", "hopf", "--a", "3/0"], "--a"),
+     (["distinguish", "--d", "2", "--z2star", "7/0"], "--z2star")],
+    ids=["dga_homology_a", "dga_homology_z2star", "specseq_a", "distinguish_z2star"],
+)
+def test_zero_denominator_is_usage_error(argv, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "zero denominator" in err
+    assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
 
 

@@ -2,12 +2,12 @@
 
 When the destabilized DGA splits into segment blocks, ``specseq.dga_pages``
 reads every page off the blocks' barcodes, convolved with gaps combining by
-min; otherwise it builds the window's complex with ``from_dga``.  Here the
-segment route's pages E^1..E^(width+2) and E-oo must equal those of
-``from_dga`` on the built-ins, relabelled copies and seeded planted specs
-with weights under which D never lowers weight; every page must have the
-Euler characteristic of the counted window; and a spec with a term shorter
-than its generator must take the ``from_dga`` route.
+min; otherwise the whole window is one block, built as ``from_dga`` builds
+it.  Here the segment route's pages E^1..E^(width+2) and E-oo must equal
+those of ``from_dga`` on the built-ins, relabelled copies and seeded
+planted specs with weights under which D never lowers weight; every page
+must have the Euler characteristic of the counted window; and a spec with
+a term shorter than its generator must take the one-block route.
 """
 
 import math
@@ -59,7 +59,7 @@ def _segment_pages(dga, window):
     """Pages 1 .. width + 2 and E-oo of the segment route, with the r list used."""
     window.ensure_valid(dga)
     assert destabilize(dga)._ends is not None
-    rs = list(range(1, _width(specseq.segment_barcode(destabilize(dga), window)) + 3))
+    rs = list(range(1, _width(specseq.dga_barcode(dga, window)) + 3))
     tables = specseq.dga_pages(dga, window, rs[-1])
     return rs, [t.dims for t in tables]
 
@@ -129,8 +129,8 @@ def test_planted_pages_have_structure():
     # above 1, so that min and max of two gaps differ.
     gaps = set()
     for seed in range(40):
-        dga = destabilize(_weighted(_planted_spec(seed), seed))
-        bars = specseq.segment_barcode(dga, _planted_window(seed))
+        dga = _weighted(_planted_spec(seed), seed)
+        bars = specseq.dga_barcode(dga, _planted_window(seed))
         gaps |= {gap for _, _, gap in bars if gap not in (0, math.inf)}
     assert len(gaps) >= 2 and max(gaps) >= 2
 
@@ -145,7 +145,7 @@ def test_segment_route_builds_no_window_complex(monkeypatch):
     assert all(type(d) is int for t in tables for d in t.dims.values())
 
 
-def test_shorter_term_spec_takes_from_dga_route(monkeypatch):
+def test_shorter_term_spec_takes_one_block_route(monkeypatch):
     # D(g) = x·y - z with z shorter than g: the DGA does not split.
     gens = [{"id": x, "degree": 0, "length": "1", "weight": 1} for x in "xyz"]
     gens += [{"id": "g", "degree": 1, "length": "2", "weight": 1},
@@ -159,7 +159,6 @@ def test_shorter_term_spec_takes_from_dga_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("segment route taken")
 
-    monkeypatch.setattr(specseq, "segment_barcode", refuse)
     monkeypatch.setattr(free_dga, "_segments", refuse)
     tables = specseq.dga_pages(dga, window, 4)
     fc = specseq.from_dga(dga, window)

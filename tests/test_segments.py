@@ -1,12 +1,13 @@
-"""Homology by composable segments against the blockwise route.
+"""Homology by composable segments against the blockwise reference route.
 
 When every term of every D(g) of the destabilized DGA is exactly as long as
 g and not empty, ``homology_dims_all`` and ``h0_dims_by_wordcount`` rank the
 small complexes of composable segments and convolve their homology;
-otherwise they rank the window degree by degree.  Here both routes run on
+otherwise they rank the whole window as one block.  Here the segment route
+and ``blockwise_oracle``, which ranks the window degree by degree, run on
 the same inputs and must agree: the built-ins, relabelled copies like the
 benchmark's ``--spec`` files, and seeded DGAs with planted composable
-structure.  Two specs outside the segment route must take the blockwise
+structure.  Two specs outside the segment route must take the one-block
 route and still agree with the enumerating oracle, and on every DGA the
 segment route takes, the Euler characteristic of the homology must equal
 that of the counted window.
@@ -19,11 +20,11 @@ from pathlib import Path
 
 import dga_oracle
 import pytest
+from blockwise_oracle import blockwise_dims, blockwise_h0
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringhom import free_dga
-from stringhom.blockwise import blockwise_dims, blockwise_h0
 from stringhom.free_dga import (
     LengthWindow,
     _degree_counts,
@@ -205,7 +206,7 @@ FALLBACK = {"length-lowering": ["z"], "empty-word": []}
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK))
-def test_fallback_specs_take_blockwise_route(name, monkeypatch):
+def test_fallback_specs_take_one_block_route(name, monkeypatch):
     gens = [{"id": x, "degree": 0, "length": "1"} for x in "xyz"]
     gens += [{"id": x, "degree": 1, "length": "2"} for x in "gh"]
     diff = {"g": [{"coeff": "1", "word": ["x", "y"]}, {"coeff": "-1", "word": FALLBACK[name]}],
