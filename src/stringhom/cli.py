@@ -55,6 +55,8 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational number") from None
 
 
 def _outdir(args) -> str:

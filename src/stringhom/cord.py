@@ -30,14 +30,11 @@ groups and documented inline:
   no surviving relation: the quotient is free on two generators.  Deeper
   mixed words are redundant for the same reason and are left out.
 
-``quotient_dims_by_wordcount`` works in two documented stages: a Tietze
-elimination pass that solves skein instances for their deepest generator
-(each instance names the inserted class exactly once, strictly deeper than
-everything else in the row), followed by an exact slice computation over
-the surviving alphabet, where the relation span and filtration quotients
-are ranked with exactlin.  Relation rows connect letter counts w and w+1
-only, so slice dimensions of the word-count filtration are read off pivot
-counts of a single echelon pass with longer words ordered first.
+``quotient_dims_by_wordcount`` runs a Tietze pass, then H_0 slices of
+``presentation_dga``.  The Tietze pass solves skein instances for their
+deepest generator (each instance names the inserted class exactly once,
+strictly deeper than everything else in the row); the slices are those of
+``free_dga.h0_dims_by_wordcount``.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import jsonio
-from .exactlin import RowReducer, quotient_slice_dims
+from . import free_dga, jsonio
+from .lengths import Surd
 
 Word = tuple[str, ...]
 
@@ -113,22 +110,22 @@ class CordPresentation:
         self.name = name
 
     def relation_rows(self) -> list[dict]:
-        """Relation instances as word->coefficient rows.
+        """Relation instances as word->coefficient rows, coefficients ``int``.
 
         Every row touches letter counts w and w+1 only: the two path terms
         are single letters, the product term has two.
         """
         rows = []
         for c in self.constants:
-            rows.append({(c,): Fraction(1)})
+            rows.append({(c,): 1})
         for inst in self.skein:
             row: dict = {}
             for word, coeff in (
-                ((inst.concat,), Fraction(1)),
-                ((inst.inserted,), Fraction(-1)),
-                ((inst.left, inst.right), Fraction(-1)),
+                ((inst.concat,), 1),
+                ((inst.inserted,), -1),
+                ((inst.left, inst.right), -1),
             ):
-                val = row.get(word, Fraction(0)) + coeff
+                val = row.get(word, 0) + coeff
                 if val == 0:
                     row.pop(word, None)
                 else:
@@ -281,8 +278,8 @@ def _unlink2_presentation(kmax: int) -> CordPresentation:
 # -- quotient computation -----------------------------------------------------
 
 
-def _substitute(element: Mapping[Word, Fraction], table: Mapping[str, dict]) -> dict:
-    """Expand every rewritten letter of every word; exact and bilinear."""
+def _substitute(element: Mapping[Word, int | Fraction], table: Mapping[str, dict]) -> dict:
+    """Expand every rewritten letter of every word; exact, bilinear, ``int`` if the inputs are."""
     out: dict = {}
     for word, coeff in element.items():
         acc = {(): coeff}
@@ -295,14 +292,14 @@ def _substitute(element: Mapping[Word, Fraction], table: Mapping[str, dict]) -> 
                 for w, c in acc.items():
                     for rw, rc in repl.items():
                         key = w + rw
-                        val = nxt.get(key, Fraction(0)) + c * rc
+                        val = nxt.get(key, 0) + c * rc
                         if val == 0:
                             nxt.pop(key, None)
                         else:
                             nxt[key] = val
                 acc = nxt
         for w, c in acc.items():
-            val = out.get(w, Fraction(0)) + c
+            val = out.get(w, 0) + c
             if val == 0:
                 out.pop(w, None)
             else:
@@ -349,9 +346,11 @@ def _extract_rewrites(pres: CordPresentation, rows: list[dict]):
             if candidate is None:
                 rest.append(row)
                 continue
+            # Solving by a lead of +-1 keeps ``int`` coefficients ``int``.
             coeff = r[(candidate,)]
+            inv = coeff if coeff in (1, -1) else Fraction(1) / coeff
             expr = {
-                w: -c / coeff for w, c in r.items() if w != (candidate,)
+                w: -c * inv for w, c in r.items() if w != (candidate,)
             }
             table[candidate] = expr
             progress = True
@@ -373,6 +372,24 @@ def _extract_rewrites(pres: CordPresentation, rows: list[dict]):
     return table, leftovers
 
 
+def presentation_dga(pres: CordPresentation) -> free_dga.DGA:
+    """A DGA whose H_0 is the presented algebra, after the Tietze pass.
+
+    Surviving generators have degree 0 and length 1.  Each leftover row is a
+    degree-1 letter with D the row and length its longest word (at least 1),
+    named by a prefix of ``r``s that no generator id starts with.
+    """
+    table, leftovers = _extract_rewrites(pres, pres.relation_rows())
+    prefix = "r"
+    while any(g.id.startswith(prefix) for g in pres.generators):
+        prefix += "r"
+    rows = {f"{prefix}{k}": row for k, row in enumerate(leftovers)}
+    gens = [free_dga.Generator(g.id, 0, Surd(1)) for g in pres.generators if g.id not in table]
+    gens += [free_dga.Generator(rid, 1, Surd(max(1, *map(len, row)))) for rid, row in rows.items()]
+    return free_dga.DGA(gens, {rid: free_dga.AlgebraElement(row) for rid, row in rows.items()},
+                        name=pres.name)
+
+
 def quotient_dims_by_wordcount(pres: CordPresentation, wmax: int) -> list[int]:
     """Letter-count slice dimensions of the presented quotient algebra.
 
@@ -380,48 +397,17 @@ def quotient_dims_by_wordcount(pres: CordPresentation, wmax: int) -> list[int]:
     alphabet, i.e. the count of normal-form words: generators solved out by
     the Tietze pass (a deep cord can equal a product of shallower ones) do
     not contribute letters.  Relations are not letter-count homogeneous --
-    they connect adjacent counts -- so dimensions come from the filtration,
-    read off one echelon pass.  The relation span is padded by words up to
-    wmax + 1 letters; the built-in rule tables are complete at that padding,
-    which the truncation-stability check guards.
+    they connect adjacent counts -- so dimensions come from the filtration.
+    The window wmax + 3/2 pads the relations by words up to wmax + 1
+    letters; the built-in rule tables are complete at that padding, which
+    the truncation-stability check guards.
     """
     if wmax < 0:
         raise CordError("wmax must be nonnegative")
     if wmax > pres.bound:
         raise BoundExceeded(f"wmax {wmax} exceeds presentation bound {pres.bound}")
-    table, leftovers = _extract_rewrites(pres, pres.relation_rows())
-    alphabet = sorted(g.id for g in pres.generators if g.id not in table)
-    width = wmax + 1
-
-    # Two-sided padding of every leftover row inside the letter-count cap.
-    padded: list[dict] = []
-
-    def pad_words(max_len: int):
-        frontier: list[Word] = [()]
-        out = [()]
-        for _ in range(max_len):
-            frontier = [w + (g,) for w in frontier for g in alphabet]
-            out.extend(frontier)
-        return out
-
-    for row in leftovers:
-        row_len = max(len(w) for w in row)
-        if row_len > width:
-            continue
-        budget = width - row_len
-        pads = pad_words(budget)
-        for u in pads:
-            for v in pads:
-                if len(u) + len(v) > budget:
-                    continue
-                padded.append({u + w + v: c for w, c in row.items()})
-
-    # Echelon with longer words first, so each pivot is its row's longest word.
-    red = RowReducer(col_key=lambda w: (-len(w), w))
-    for row in padded:
-        red.add(row)
-    asize = len(alphabet)
-    return quotient_slice_dims([asize**k for k in range(width)], (len(w) for w in red.pivots))
+    window = free_dga.LengthWindow(Fraction(2 * wmax + 3, 2))
+    return free_dga.h0_dims_by_wordcount(presentation_dga(pres), window, wmax)
 
 
 def truncation_stable(name: str, kmax: int, dims: list[int]) -> bool:
@@ -435,8 +421,6 @@ def compare_with_h0(cord_dims: list[int], dga, window):
     Returns (match, table) with one (w, cord_dim, h0_dim, match) row per
     word count w = 0 .. len(cord_dims) - 1.
     """
-    from . import free_dga
-
     wmax = len(cord_dims) - 1
     h0_dims = free_dga.h0_dims_by_wordcount(dga, window, wmax)
     rows = [

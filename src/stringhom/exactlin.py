@@ -9,18 +9,16 @@ negation) and moves to ``fractions.Fraction`` only when it divides by a
 lead that is not +-1; the built-in differentials never need it.
 
 ``homology_dims`` is the one place where homology dimensions are formed
-from block ranks, taken from the top degree down with clearing, and
-``quotient_slice_dims`` reads filtration slices of a quotient off pivot
-positions.  Matrices store a ``(row, col) -> int or
-Fraction`` map with no explicit zeros (``int`` entries stay ``int``, as in
-``RowReducer``); row vectors are plain ``{col: int or Fraction}`` dicts.
+from block ranks, taken from the top degree down with clearing.  Matrices
+store a ``(row, col) -> int or Fraction`` map with no explicit zeros
+(``int`` entries stay ``int``, as in ``RowReducer``); row vectors are plain
+``{col: int or Fraction}`` dicts.
 Reduced row echelon form is canonical for a given row space, which makes
 every basis produced here deterministic regardless of input order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -178,21 +176,6 @@ class RowReducer:
                         row.pop(cc, None)
             final[col] = row
         return [final[c] for c in cols]
-
-
-def quotient_slice_dims(slice_sizes: list[int], pivot_weights: Iterable[int]) -> list[int]:
-    """Slices dim F_w/F_(w-1), w = 0..len(slice_sizes)-1, of a quotient V/R.
-
-    F_w is spanned by the basis vectors of weight at most w, and
-    ``slice_sizes[w]`` counts those of weight exactly w.  ``pivot_weights``
-    are the weights of the pivot columns of an echelon basis of R whose
-    column order puts heavier columns first, so each pivot is the heaviest
-    column of its row.  The rows with pivot weight at most w then span
-    R inside F_w, and the slice is ``slice_sizes[w]`` minus the pivots of
-    weight exactly w.
-    """
-    per_weight = Counter(pivot_weights)
-    return [size - per_weight[w] for w, size in enumerate(slice_sizes)]
 
 
 def homology_dims(sizes: Mapping[int, int], blocks: Iterable) -> dict[int, int]:

@@ -38,7 +38,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from . import exactlin, jsonio
-from .exactlin import RowReducer, as_fraction, quotient_slice_dims
+from .exactlin import RowReducer, as_fraction
 from .lengths import IncompatibleRadicals, Surd, parse_length
 
 Word = tuple[str, ...]
@@ -379,6 +379,10 @@ def d_squared_zero_check(dga: DGA) -> tuple[bool, tuple[str, AlgebraElement] | N
 
 # -- length windows --------------------------------------------------------
 
+# Most realizable lengths a window search may hold; windows in use hold a
+# few hundred, and a bound such as 10^400 would otherwise never finish.
+MAX_SUMS = 10**5
+
 
 class LengthWindow:
     """Upper length bound a, required to avoid realizable word lengths.
@@ -466,6 +470,7 @@ def _spectrum(steps, cap: tuple[int, int], n: int) -> list[tuple[int, int]]:
     Breadth-first over integer (p, q) pairs; a sum equal to ``cap`` counts,
     so a realizable bound shows as the last value.  Steps go by exact
     length, so the first step that overshoots from a base ends that base's row.
+    More than ``MAX_SUMS`` sums raise ``ParameterOutOfRange``.
     """
     by_length = _exact_order(n)
     steps = sorted(set(steps), key=by_length)
@@ -481,6 +486,8 @@ def _spectrum(steps, cap: tuple[int, int], n: int) -> list[tuple[int, int]]:
                 if val not in seen:
                     seen.add(val)
                     nxt.append(val)
+                    if len(seen) > MAX_SUMS:
+                        raise ParameterOutOfRange(f"more than {MAX_SUMS} realizable lengths")
         frontier = nxt
     return sorted(seen, key=by_length)
 
@@ -706,16 +713,17 @@ def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]
 
 
 def _segment_h0(dga: DGA, by_deg: dict[int, list[Word]], wmax: int) -> dict[int, int]:
-    """Nonzero letter-count slices, up to ``wmax``, of one block's H_0."""
-    # Columns heaviest first, so that each pivot is the longest word of its row.
+    """Nonzero letter-count slices, up to ``wmax``, of one block's H_0: with columns
+    heaviest first each pivot is its row's longest word, and slice w is the words of
+    w letters less the pivots of w letters.  No clearing as in ``_segment_homology``:
+    at degree cap 1 no degree-2 block is ranked whose pivots could be left out."""
     columns = sorted(by_deg.get(0, ()), key=lambda w: (-len(w), w))
     red = RowReducer()
     for row in _diff_rows(dga, by_deg.get(1, ()), {w: i for i, w in enumerate(columns)}):
         red.add(row, owned=True)
-    per_count = Counter(map(len, columns))
-    slices = quotient_slice_dims([per_count[k] for k in range(wmax + 1)],
-                                 (len(columns[c]) for c in red.pivots))
-    return {k: v for k, v in enumerate(slices) if v}
+    slices = Counter(map(len, columns))
+    slices.subtract(len(columns[c]) for c in red.pivots)
+    return {k: v for k in range(wmax + 1) if (v := slices[k])}
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:

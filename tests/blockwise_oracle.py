@@ -9,8 +9,14 @@ from collections import Counter
 from functools import partial
 
 from stringhom import exactlin
-from stringhom.exactlin import RowReducer, quotient_slice_dims
+from stringhom.exactlin import RowReducer
 from stringhom.free_dga import DGA, UNIT, Word, _degree_counts, _diff_rows
+
+
+def quotient_slice_dims(slice_sizes: list[int], pivot_weights) -> list[int]:
+    """Slices dim F_w/F_(w-1) of V/R: weight-w basis vectors minus weight-w pivots of R."""
+    per_weight = Counter(pivot_weights)
+    return [size - per_weight[w] for w, size in enumerate(slice_sizes)]
 
 
 def _live_words(dga: DGA, moves: list, degrees: set[int]) -> dict[int, list[Word]]:

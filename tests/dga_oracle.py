@@ -2,8 +2,8 @@
 
 ``free_dga`` validates windows and enumerates words over integer-scaled
 lengths, reads differentials from a per-letter table with ``int``
-coefficients, and reads degree-0 slices through
-``exactlin.quotient_slice_dims``.  The routes here share none of that:
+coefficients, and reads degree-0 slices off pivot counts per letter count
+in ``_segment_h0``.  The routes here share none of that:
 
 * ``realizable_sums`` is the breadth-first search over ``Surd`` values;
 * ``words_of_degree`` enumerates words with ``Surd`` lengths;

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import dga_oracle
 
-from stringhom import exactlin, free_dga
+from stringhom import cord, exactlin, free_dga
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,6 +25,7 @@ HOOKS = [
     (exactlin.RowReducer, "contains"),
     (exactlin.RowReducer, "reduced_rows"),
     (exactlin.Subspace, "from_vectors"),
+    (cord, "quotient_dims_by_wordcount"),
 ]
 
 
@@ -64,3 +65,17 @@ def test_tracer_installs_counts_and_restores():
     metrics = tracer.metrics()
     assert metrics["free_dga.enumerations"] == 1
     assert metrics["free_dga.words"] > 0
+
+
+def test_tracer_stages_cord_slices():
+    module = _load_tracer()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        cord.quotient_dims_by_wordcount(cord.builtin_presentation("hopf_link", 2), 4)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["cord.slices_s"] > 0
+    # The slices are H_0 of the presentation's DGA: their work runs in free_dga.
+    assert metrics["free_dga.calls"] > 0

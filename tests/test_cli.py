@@ -673,21 +673,44 @@ def test_dga_homology_without_degrees_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,flag",
-    [(["dga-homology", "--builtin", "hopf", "--a", "1/0", "--degree", "0"], "--a"),
-     (["dga-homology", "--builtin", "unlink", "--z2star", "1/0", "--degree", "0"], "--z2star"),
-     (["specseq", "--builtin", "hopf", "--a", "3/0"], "--a"),
-     (["distinguish", "--d", "2", "--z2star", "7/0"], "--z2star")],
-    ids=["dga_homology_a", "dga_homology_z2star", "specseq_a", "distinguish_z2star"],
+    "argv,flag,reason",
+    [(["dga-homology", "--builtin", "hopf", "--a", "1/0", "--degree", "0"], "--a",
+      "zero denominator"),
+     (["dga-homology", "--builtin", "unlink", "--z2star", "1/0", "--degree", "0"], "--z2star",
+      "zero denominator"),
+     (["specseq", "--builtin", "hopf", "--a", "3/0"], "--a", "zero denominator"),
+     (["distinguish", "--d", "2", "--z2star", "7/0"], "--z2star", "zero denominator"),
+     (["dga-homology", "--builtin", "hopf", "--a", "nan", "--degree", "0"], "--a",
+      "not an exact rational"),
+     (["specseq", "--builtin", "hopf", "--a", "abc"], "--a", "not an exact rational")],
+    ids=["dga_homology_a", "dga_homology_z2star", "specseq_a", "distinguish_z2star",
+         "dga_homology_a_nan", "specseq_a_abc"],
 )
-def test_zero_denominator_is_usage_error(argv, flag, tmp_path, capsys):
+def test_zero_denominator_is_usage_error(argv, flag, reason, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--outdir", str(tmp_path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: " in err and "zero denominator" in err
+    assert f"error: argument {flag}: " in err and reason in err
+    # argparse names the type function only when it raises a bare ValueError.
+    assert "_fraction" not in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+def test_huge_window_exit_6_before_search(tmp_path):
+    # The realizable lengths below 10^400 are far too many to search: the
+    # search stops at ``free_dga.MAX_SUMS`` instead of running without end.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringhom.cli", "dga-homology", "--builtin", "hopf",
+         "--a", "1e400", "--degree", "0", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 6, proc.stderr
+    assert f"more than {free_dga.MAX_SUMS} realizable lengths" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 HOPF_HOMOLOGY = ["dga-homology", "--builtin", "hopf", "--a", "9/2"]

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from cord_oracle import padded_quotient_dims
+
 from stringhom import free_dga
 from stringhom.cord import (
     BoundExceeded,
@@ -11,11 +13,15 @@ from stringhom.cord import (
     CordPresentation,
     SkeinInstance,
     UnknownBuiltin,
+    _extract_rewrites,
     builtin_presentation,
     compare_with_h0,
+    load_presentation,
+    presentation_dga,
     presentation_from_json_dict,
     presentation_to_json_dict,
     quotient_dims_by_wordcount,
+    save_presentation,
     truncation_stable,
 )
 from stringhom.exactlin import RowReducer
@@ -274,3 +280,94 @@ class TestStrictLoader:
         data["skein"][0]["left"] = "nowhere"
         with pytest.raises(CordError, match="unknown generator nowhere"):
             presentation_from_json_dict(data)
+
+
+# -- the H_0 route against the padded-echelon oracle ---------------------------
+
+
+def _custom_presentation() -> CordPresentation:
+    gens = [CordGenerator("p", 0, 1), CordGenerator("q", 1, 0), CordGenerator("z", 0, 0)]
+    return CordPresentation(gens, ["z"], [SkeinInstance("z", "z", "p", "q")], bound=4,
+                            name="custom")
+
+
+def _mixed_presentation() -> CordPresentation:
+    # a - b - cc = 0 with no strictly deepest letter: the Tietze pass leaves
+    # the row, whose words have one and two letters, so D shortens a word and
+    # the H_0 slices take the one-block route instead of segments.
+    gens = [CordGenerator(x, 0, 0) for x in "abc"]
+    return CordPresentation(gens, [], [SkeinInstance("a", "b", "c", "c")], bound=4,
+                            name="mixed")
+
+
+def _relabel(pres: CordPresentation, new: dict) -> CordPresentation:
+    name = lambda gid: new.get(gid, gid)
+    return CordPresentation(
+        [CordGenerator(name(g.id), g.source, g.target, g.depth) for g in pres.generators],
+        [name(c) for c in pres.constants],
+        [SkeinInstance(*map(name, (s.concat, s.inserted, s.left, s.right))) for s in pres.skein],
+        pres.bound,
+        name=pres.name,
+    )
+
+
+def _assert_matches_oracle(pres: CordPresentation):
+    for wmax in range(pres.bound + 1):
+        assert quotient_dims_by_wordcount(pres, wmax) == padded_quotient_dims(pres, wmax), wmax
+
+
+class TestAgainstPaddedOracle:
+    @pytest.mark.parametrize("kmax", range(2, 7))
+    @pytest.mark.parametrize("name", ["unknot", "hopf_link", "unlink2"])
+    def test_builtins_every_wmax(self, name, kmax):
+        _assert_matches_oracle(builtin_presentation(name, kmax))
+
+    @pytest.mark.parametrize("name", ["unknot", "hopf_link", "unlink2"])
+    def test_saved_and_loaded(self, name, tmp_path):
+        path = tmp_path / "pres.json"
+        save_presentation(builtin_presentation(name, 3), path)
+        _assert_matches_oracle(load_presentation(path))
+
+    @pytest.mark.parametrize("make", [_custom_presentation, _mixed_presentation],
+                             ids=["custom", "mixed"])
+    def test_small_presentations(self, make):
+        _assert_matches_oracle(make())
+
+    def test_mixed_row_takes_one_block_route(self):
+        dga = free_dga.destabilize(presentation_dga(_mixed_presentation()))
+        assert dga._ends is None
+        assert [g.degree for g in dga.generators] == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("make", [lambda: builtin_presentation("hopf_link", 2),
+                                      _custom_presentation, _mixed_presentation],
+                             ids=["hopf_link", "custom", "mixed"])
+    def test_generator_ids_equal_to_relation_letter_names(self, make):
+        # Give the surviving generators the names the relation letters get
+        # on the original presentation: a fixed naming scheme collides.
+        pres = make()
+        dga = presentation_dga(pres)
+        survivors = [g.id for g in dga.generators if g.degree == 0]
+        relations = [g.id for g in dga.generators if g.degree == 1]
+        assert relations and len(survivors) >= len(relations)
+        clash = _relabel(pres, dict(zip(survivors, relations)))
+        assert set(relations) <= {g.id for g in presentation_dga(clash).generators}
+        _assert_matches_oracle(clash)
+
+
+class TestIntegerTietze:
+    @pytest.mark.parametrize("kmax", range(2, 7))
+    @pytest.mark.parametrize("name", ["unknot", "hopf_link", "unlink2"])
+    def test_builtin_coefficients_exact(self, name, kmax):
+        pres = builtin_presentation(name, kmax)
+        table, leftovers = _extract_rewrites(pres, pres.relation_rows())
+        for element in [*table.values(), *leftovers]:
+            for c in element.values():
+                assert type(c) in (int, Fraction), c
+
+    def test_solve_by_non_unit_lead_stays_exact(self):
+        # 2a + b = 0 with a deeper than b: a = -b/2, a Fraction and not 0.5.
+        pres = CordPresentation([CordGenerator("a", 0, 0, 1), CordGenerator("b", 0, 0)], [], [],
+                                bound=2)
+        table, leftovers = _extract_rewrites(pres, [{("a",): 2, ("b",): 1}])
+        assert table == {"a": {("b",): Fraction(-1, 2)}} and leftovers == []
+        assert type(table["a"][("b",)]) is Fraction
