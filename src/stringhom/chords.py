@@ -8,20 +8,22 @@ link configurations and keeps all tangent data closed-form.
 
 The spectrum search solves the endpoint perpendicularity system by
 Gauss-Newton from a fixed grid of endpoint pairs per component pair, which
-reaches minima and saddle-type chords alike.  Each converged chord is
-rebuilt as a straight equal-speed polygon of nu segments (``BrokenPath``)
-whose binormality residual is reported with it.  The smoothed-length flow
-L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r) of such polygons lives in the test
-oracle ``tests/chord_oracle.py``, which checks that descending the seeds
-first finds no chord that this solve misses.
+reaches minima and saddle-type chords alike.  Each length is reported with
+the largest Gauss-Newton residual norm among the chords grouped into it.
+The straight polygons of a chord and their smoothed-length flow
+L_r = sum_l sqrt(|q^(l+1) - q^l|^2 + r) live in the test oracle
+``tests/chord_oracle.py``, which checks that descending the seeds first
+finds no chord that this solve misses.
 Reversing a chord from K_i to K_j gives a chord from K_j to K_i of the same
 length, so each cross pair i < j is solved once and its chords are mirrored
 into (j, i); only self pairs (i, i) are solved on their own.
 Each Gauss-Newton step builds the endpoint frames once and reuses them for
-the residual, every finite-difference column and the step.  Results are
-deduplicated by length, with endpoint clusters counted as a multiplicity
-hint for chord families; the count is greedy in length order and finds
-nearby representatives through a grid of cells of the dedup tolerance.
+the residual, every finite-difference column and the step; a seed grid
+whose arrays would exceed ``MAX_GRID_FLOATS`` is refused before it is
+built.  Results are deduplicated by length, with endpoint clusters counted
+as a multiplicity hint for chord families; the count is greedy in length
+order and finds nearby representatives through a grid of cells of the
+dedup tolerance.
 """
 
 from __future__ import annotations
@@ -32,19 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import free_dga
-
-
-class ChordError(Exception):
-    pass
-
-
-class ParameterOutOfRange(ChordError, free_dga.ParameterOutOfRange):
-    """Also a ``free_dga.ParameterOutOfRange``: one type for every bad parameter."""
-
-
-class DegenerateSegment(ChordError):
-    pass
+from .free_dga import ParameterOutOfRange
 
 
 # -- geometry ----------------------------------------------------------------
@@ -123,14 +113,15 @@ class ParamSubmanifold:
 
 def _first_sphere(d: int) -> Component:
     """The unit (d-1)-sphere on the first d axes of R^(2d-1)."""
+    if d < 2:
+        raise ParameterOutOfRange("d must be at least 2")
     n = 2 * d - 1
+    _check_grid_size(1, n, 2 * d - 2)  # a d too large for even one seed pair
     return Component(np.eye(n, d), np.zeros(n), "K0")
 
 
 def builtin_config(name: str, d: int, z2star: float | None = None) -> ParamSubmanifold:
     """The linked and the spaced pair of unit (d-1)-spheres in R^(2d-1)."""
-    if d < 2:
-        raise ParameterOutOfRange("d must be at least 2")
     n = 2 * d - 1
     first = _first_sphere(d)
     if name == "hopf":
@@ -155,69 +146,40 @@ def builtin_config(name: str, d: int, z2star: float | None = None) -> ParamSubma
 
 def single_sphere(d: int) -> ParamSubmanifold:
     """One unit (d-1)-sphere in R^(2d-1); its only chords are diameters."""
-    if d < 2:
-        raise ParameterOutOfRange("d must be at least 2")
     return ParamSubmanifold([_first_sphere(d)])
 
 
-# -- configuration and path types --------------------------------------------
+# -- configuration and result types ------------------------------------------
 
 GRAD_TOL = 1e-9  # largest Gauss-Newton residual norm of a converged seed
 DEDUP_LEN_TOL = 1e-7  # chord lengths closer than this are one length
 DEDUP_PT_TOL = 5e-2  # endpoint keys closer than this (max norm) are one cluster
-# Shortest chord kept, and closest endpoints of a self-pair seed; a path of
-# nu segments is degenerate when one is no longer than EPS_MIN / nu.
-EPS_MIN = 1e-3
+EPS_MIN = 1e-3  # shortest chord kept, and closest endpoints of a self-pair seed
 RNG_SEED = 0  # seed grids on spheres of dimension above 2
 GN_ITERATIONS = 40
+# Most floats one Gauss-Newton array of a component pair may hold, counted as
+# seed pairs x max(n, m) x m for m tangent coordinates in R^n: this bounds
+# both the endpoint frames (n x (k-1)) and the Jacobian (m x m).  The
+# largest any test or workload reaches is 54,432 (1,296 seed pairs, d = 4).
+# Near the cap, hopf d = 2 with 408 circle seeds ran 16 s and peaked at
+# 300 MB on a 2-CPU x86-64 host.
+MAX_GRID_FLOATS = 10**6
 
 
 @dataclass
 class ChordConfig:
-    nu: int = 16
     length_bound: float | None = None
     seeds_per_circle: int = 24
     seeds_per_sphere: int = 36
 
     def __post_init__(self):
-        for name in ("nu", "seeds_per_circle", "seeds_per_sphere"):
+        for name in ("seeds_per_circle", "seeds_per_sphere"):
             if getattr(self, name) < 1:
                 raise ParameterOutOfRange(f"{name} must be positive")
         if self.length_bound is not None and not isfinite(self.length_bound):
             raise ParameterOutOfRange("length_bound must be finite")
         if self.length_bound is not None and self.length_bound <= 0:
             raise ParameterOutOfRange("length_bound must be positive")
-
-
-class BrokenPath:
-    """Polygonal path with endpoints on two (possibly equal) components."""
-
-    def __init__(self, manifold, comp0: int, comp1: int, u0, u1, points):
-        self.manifold = manifold
-        self.comp0 = comp0
-        self.comp1 = comp1
-        self.u0 = _normalize(np.asarray(u0, dtype=float))
-        self.u1 = _normalize(np.asarray(u1, dtype=float))
-        self.points = np.array(points, dtype=float)
-        c0 = manifold.components[comp0]
-        c1 = manifold.components[comp1]
-        if not np.allclose(self.points[0], c0.embed(self.u0), atol=1e-9):
-            raise ValueError("first point must equal the embedded start parameter")
-        if not np.allclose(self.points[-1], c1.embed(self.u1), atol=1e-9):
-            raise ValueError("last point must equal the embedded end parameter")
-
-    @property
-    def nu(self) -> int:
-        return len(self.points) - 1
-
-
-def straight_path(
-    manifold: ParamSubmanifold, comp0: int, comp1: int, u0, u1, nu: int
-) -> BrokenPath:
-    p0 = manifold.components[comp0].embed(u0)
-    p1 = manifold.components[comp1].embed(u1)
-    t = np.linspace(0.0, 1.0, nu + 1)[:, None]
-    return BrokenPath(manifold, comp0, comp1, u0, u1, (1 - t) * p0 + t * p1)
 
 
 @dataclass
@@ -229,7 +191,6 @@ class ChordResult:
     length: float
     residual: float
     multiplicity: int
-    points: np.ndarray
 
     def as_json_dict(self) -> dict:
         return {
@@ -242,33 +203,16 @@ class ChordResult:
         }
 
 
-def binormality_residual(path: BrokenPath) -> float:
-    """Deviation from chord criticality.
-
-    Maximum of: consecutive unit-direction mismatches, chord-tangency
-    inner products at both endpoints, and the segment-length spread.
-    Zero exactly on straight equally-spaced binormal chords.
-    """
-    seg = np.diff(path.points, axis=0)
-    lens = np.linalg.norm(seg, axis=1)
-    eps = EPS_MIN / max(path.nu, 1)
-    if np.any(lens <= eps):
-        raise DegenerateSegment("segment shorter than EPS_MIN/nu")
-    dirs = seg / lens[:, None]
-    turn = 0.0
-    if len(dirs) > 1:
-        turn = float(np.max(np.linalg.norm(dirs[1:] - dirs[:-1], axis=1)))
-    c0 = path.manifold.components[path.comp0]
-    c1 = path.manifold.components[path.comp1]
-    f0 = c0.tangent_frame(path.u0)
-    f1 = c1.tangent_frame(path.u1)
-    t0 = float(np.max(np.abs(dirs[0] @ f0))) if f0.shape[-1] else 0.0
-    t1 = float(np.max(np.abs(dirs[-1] @ f1))) if f1.shape[-1] else 0.0
-    spread = float(lens.max() - lens.min())
-    return max(turn, t0, t1, spread)
-
-
 # -- multistart search --------------------------------------------------------
+
+
+def _check_grid_size(seeds: int, n: int, m: int) -> None:
+    floats = seeds * max(n, m) * m
+    if floats > MAX_GRID_FLOATS:
+        raise ParameterOutOfRange(
+            f"{floats} floats per Gauss-Newton array for {seeds} seed pairs in R^{n},"
+            f" above the cap of {MAX_GRID_FLOATS}"
+        )
 
 
 def _circle_points(n: int):
@@ -286,14 +230,18 @@ def _fibonacci_sphere(n: int):
     )
 
 
+def _grid_size(comp: Component, cfg: ChordConfig) -> int:
+    return cfg.seeds_per_circle if comp.param_dim == 2 else cfg.seeds_per_sphere
+
+
 def _component_grid(comp: Component, cfg: ChordConfig):
-    k = comp.param_dim
+    k, size = comp.param_dim, _grid_size(comp, cfg)
     if k == 2:
-        return _circle_points(cfg.seeds_per_circle)
+        return _circle_points(size)
     if k == 3:
-        return _fibonacci_sphere(cfg.seeds_per_sphere)
+        return _fibonacci_sphere(size)
     rng = np.random.default_rng(RNG_SEED + 7 * k)
-    return _normalize(rng.standard_normal((cfg.seeds_per_sphere, k)))
+    return _normalize(rng.standard_normal((size, k)))
 
 
 def _perp_residual(p0, tan0, p1, tan1):
@@ -380,16 +328,21 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
 def _seed_grid(manifold, i, j, cfg: ChordConfig):
     """All grid endpoint pairs (u0, u1) for one ordered component pair.
 
-    On a single component, pairs closer than EPS_MIN are dropped.
+    On a single component, pairs closer than EPS_MIN are dropped.  A grid
+    beyond ``MAX_GRID_FLOATS`` is refused before it is built.
     """
-    g0 = _component_grid(manifold.components[i], cfg)
-    g1 = _component_grid(manifold.components[j], cfg)
+    c0, c1 = manifold.components[i], manifold.components[j]
+    _check_grid_size(
+        _grid_size(c0, cfg) * _grid_size(c1, cfg),
+        manifold.ambient_dim,
+        c0.param_dim + c1.param_dim - 2,
+    )
+    g0 = _component_grid(c0, cfg)
+    g1 = _component_grid(c1, cfg)
     u0 = np.repeat(g0, len(g1), axis=0)
     u1 = np.tile(g1, (len(g0), 1))
     if i == j:
-        keep = np.linalg.norm(
-            manifold.components[i].embed(u0) - manifold.components[j].embed(u1), axis=1
-        ) > EPS_MIN
+        keep = np.linalg.norm(c0.embed(u0) - c1.embed(u1), axis=1) > EPS_MIN
         u0, u1 = u0[keep], u1[keep]
     return u0, u1
 
@@ -449,15 +402,16 @@ def find_spectrum(
     """Multistart search for all binormal chords below the length bound.
 
     Runs a Gauss-Newton criticality solve from the seed grid of every
-    component pair (i, j) with i <= j, rebuilds each converged chord as a
-    straight nu-segment path, filters by the residual and length windows,
-    and deduplicates by length.  Each kept candidate of a cross pair i < j
-    is followed by its mirror in (j, i): the reversed chord, with the same
-    length and residual norm bit for bit.  The multiplicity of a length is
-    the number of endpoint clusters among its candidates: a greedy pass in
-    length order keeps a candidate unless its endpoints lie within
-    ``DEDUP_PT_TOL`` of a kept one, looked up in grid cells of that
-    size (``_count_distinct``).  Returns results sorted by length.
+    component pair (i, j) with i <= j, keeps the converged chords inside
+    the length window and deduplicates them by length.  Each kept candidate
+    of a cross pair i < j is followed by its mirror in (j, i): the reversed
+    chord, with the same length and residual norm bit for bit.  A length
+    reports the largest residual norm among its candidates.  The
+    multiplicity of a length is the number of endpoint clusters among its
+    candidates: a greedy pass in length order keeps a candidate unless its
+    endpoints lie within ``DEDUP_PT_TOL`` of a kept one, looked up in grid
+    cells of that size (``_count_distinct``).  Returns results sorted by
+    length.
 
     A length reports the component pair of its first candidate by float
     length.  The sort is stable and a mirror ties its original, so that
@@ -504,8 +458,6 @@ def find_spectrum(
         if not group:
             return
         best = group[0]
-        path = straight_path(manifold, best[1], best[2], best[3], best[4], cfg.nu)
-        residual = max(binormality_residual(path), max(g[5] for g in group))
         results.append(
             ChordResult(
                 comp_source=best[1],
@@ -513,11 +465,10 @@ def find_spectrum(
                 u0=best[3],
                 u1=best[4],
                 length=float(np.median([g[0] for g in group])),
-                residual=float(residual),
+                residual=max(g[5] for g in group),
                 multiplicity=_count_distinct(
                     (np.concatenate([g[3], g[4]]) for g in group), DEDUP_PT_TOL
                 ),
-                points=path.points,
             )
         )
 

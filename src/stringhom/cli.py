@@ -34,7 +34,6 @@ EXIT_PARAMETER = 6
 EXIT_CHECK_FAILED = 7
 
 # Exception types to (exit code, message prefix); the first match wins.
-# ``chords.ParameterOutOfRange`` subclasses ``free_dga.ParameterOutOfRange``.
 ERRORS = (
     ((free_dga.WindowCollision,), EXIT_WINDOW, "invalid length window"),
     ((free_dga.InvalidDGA, free_dga.UnknownGenerator), EXIT_INVALID_DGA, "invalid DGA"),
@@ -194,7 +193,6 @@ def cmd_chords(args) -> int:
     else:
         manifold = chords.builtin_config(args.builtin, args.d, args.z2star)
     cfg = chords.ChordConfig(
-        nu=args.nu,
         length_bound=args.a,
         seeds_per_circle=args.circle_seeds,
         seeds_per_sphere=args.sphere_seeds,
@@ -221,8 +219,7 @@ def cmd_chords(args) -> int:
     rate = diagnostics.get("failure_rate", 0.0)
     print(f"seeds {diagnostics.get('seeds', 0)}, failure rate {rate:.3f}")
     report = {
-        "config": {"builtin": args.builtin, "d": args.d, "z2star": args.z2star, "a": args.a,
-                   "nu": args.nu},
+        "config": {"builtin": args.builtin, "d": args.d, "z2star": args.z2star, "a": args.a},
         "chords": [r.as_json_dict() for r in results],
         "diagnostics": dict(diagnostics),
     }
@@ -356,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--z2star", type=float, default=None)
     p.add_argument("--a", type=float, default=None, help="length bound")
-    p.add_argument("--nu", type=int, default=16)
     p.add_argument("--m", type=int, default=1, help="also report m-fold sums")
     p.add_argument("--circle-seeds", type=int, default=24)
     p.add_argument("--sphere-seeds", type=int, default=36)

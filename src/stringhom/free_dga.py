@@ -131,10 +131,6 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
-    def scale(self, coeff) -> "AlgebraElement":
-        coeff = as_fraction(coeff)
-        return AlgebraElement({w: c * coeff for w, c in self.terms.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         out: dict = {}
         for w1, c1 in self.terms.items():

@@ -1,5 +1,12 @@
 """Earlier forms of the chord search, kept as test oracles.
 
+Broken paths: ``BrokenPath`` is a polygon q^0 ... q^nu with endpoints on
+K, ``straight_path`` the straight equal-speed polygon of a chord, and
+``binormality_residual`` its deviation from chord criticality.  The search
+once reported that residual of its chords' 16-segment polygons; it reports
+its Gauss-Newton residual now, and the tests check that the polygon's is
+no larger.
+
 The smoothed-length flow: a broken path q^0 ... q^nu with endpoints on K
 is graded by
 
@@ -34,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from stringhom import chords
-from stringhom.chords import BrokenPath, ParameterOutOfRange
+from stringhom.chords import EPS_MIN, ParameterOutOfRange
 
 _normalize = chords._normalize
 
@@ -45,6 +52,66 @@ DESCENT_STAGE_TOL = 1e-4
 
 
 # -- broken paths and the smoothed length --------------------------------------
+
+
+class DegenerateSegment(Exception):
+    pass
+
+
+class BrokenPath:
+    """Polygonal path with endpoints on two (possibly equal) components."""
+
+    def __init__(self, manifold, comp0: int, comp1: int, u0, u1, points):
+        self.manifold = manifold
+        self.comp0 = comp0
+        self.comp1 = comp1
+        self.u0 = _normalize(np.asarray(u0, dtype=float))
+        self.u1 = _normalize(np.asarray(u1, dtype=float))
+        self.points = np.array(points, dtype=float)
+        c0 = manifold.components[comp0]
+        c1 = manifold.components[comp1]
+        if not np.allclose(self.points[0], c0.embed(self.u0), atol=1e-9):
+            raise ValueError("first point must equal the embedded start parameter")
+        if not np.allclose(self.points[-1], c1.embed(self.u1), atol=1e-9):
+            raise ValueError("last point must equal the embedded end parameter")
+
+    @property
+    def nu(self) -> int:
+        return len(self.points) - 1
+
+
+def straight_path(manifold, comp0: int, comp1: int, u0, u1, nu: int) -> BrokenPath:
+    p0 = manifold.components[comp0].embed(u0)
+    p1 = manifold.components[comp1].embed(u1)
+    t = np.linspace(0.0, 1.0, nu + 1)[:, None]
+    return BrokenPath(manifold, comp0, comp1, u0, u1, (1 - t) * p0 + t * p1)
+
+
+def binormality_residual(path: BrokenPath) -> float:
+    """Deviation from chord criticality.
+
+    Maximum of: consecutive unit-direction mismatches, chord-tangency
+    inner products at both endpoints, and the segment-length spread.
+    Zero exactly on straight equally-spaced binormal chords.  A path with
+    a segment no longer than EPS_MIN / nu is degenerate.
+    """
+    seg = np.diff(path.points, axis=0)
+    lens = np.linalg.norm(seg, axis=1)
+    eps = EPS_MIN / max(path.nu, 1)
+    if np.any(lens <= eps):
+        raise DegenerateSegment("segment shorter than EPS_MIN/nu")
+    dirs = seg / lens[:, None]
+    turn = 0.0
+    if len(dirs) > 1:
+        turn = float(np.max(np.linalg.norm(dirs[1:] - dirs[:-1], axis=1)))
+    c0 = path.manifold.components[path.comp0]
+    c1 = path.manifold.components[path.comp1]
+    f0 = c0.tangent_frame(path.u0)
+    f1 = c1.tangent_frame(path.u1)
+    t0 = float(np.max(np.abs(dirs[0] @ f0))) if f0.shape[-1] else 0.0
+    t1 = float(np.max(np.abs(dirs[-1] @ f1))) if f1.shape[-1] else 0.0
+    spread = float(lens.max() - lens.min())
+    return max(turn, t0, t1, spread)
 
 
 def segment_lengths(path: BrokenPath):
@@ -217,10 +284,10 @@ def refine(path: BrokenPath) -> BrokenPath:
 # -- the descent-then-polish search ---------------------------------------------
 
 
-def descent_search(manifold, cfg):
+def descent_search(manifold, cfg, nu=16):
     """Descend, polish and window-filter every ordered component pair.
 
-    Returns ``(lengths, stages)``: the lengths of the chords the polish
+    Each seed starts as a straight path of ``nu`` segments.  Returns ``(lengths, stages)``: the lengths of the chords the polish
     converges to inside the window, and one ``(r, before, after)`` triple
     per descent stage, holding the batch's points at the start and at the
     end of that stage.
@@ -238,7 +305,7 @@ def descent_search(manifold, cfg):
             stride = max(1, -(-len(u0) // DESCENT_SEED_CAP))
             d0, d1 = u0[::stride].copy(), u1[::stride].copy()
             c0, c1 = manifold.components[i], manifold.components[j]
-            t = np.linspace(0.0, 1.0, cfg.nu + 1)[None, :, None]
+            t = np.linspace(0.0, 1.0, nu + 1)[None, :, None]
             p0, p1 = c0.embed(d0), c1.embed(d1)
             points = (1 - t) * p0[:, None, :] + t * p1[:, None, :]
             state = _DescentState(manifold, i, j, d0, d1, points)

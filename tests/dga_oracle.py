@@ -25,6 +25,7 @@ in ``_segment_h0``.  The routes here share none of that:
 They are far too slow for the command line.  ``word_basis``,
 ``chord_word_counts_all``, ``word_length`` and ``admits`` are helpers that
 only the tests call; they run ``free_dga``'s own enumeration and counting.
+``scale`` multiplies an ``AlgebraElement`` by a coefficient.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def words_of_degree(dga: DGA, window: LengthWindow, degree: int) -> list:
     return [word for _, word in found]
 
 
+def scale(element: AlgebraElement, coeff) -> AlgebraElement:
+    return AlgebraElement({w: c * coeff for w, c in element.terms.items()})
+
+
 def leibniz_differential(dga: DGA, word) -> AlgebraElement:
     """D(g1...gk) = sum_i (-1)^deg(g1...g(i-1)) g1...D(gi)...gk."""
     total = AlgebraElement.zero()
@@ -130,7 +135,7 @@ def leibniz_differential(dga: DGA, word) -> AlgebraElement:
         if not image.is_zero():
             left = AlgebraElement.from_word(word[:i])
             right = AlgebraElement.from_word(word[i + 1 :])
-            total = total + (left * image * right).scale(-1 if prefix_degree % 2 else 1)
+            total = total + scale(left * image * right, -1 if prefix_degree % 2 else 1)
         prefix_degree += dga.gen(letter).degree
     return total
 

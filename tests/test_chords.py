@@ -3,27 +3,27 @@ import pytest
 
 from chord_oracle import (
     R_SCHEDULE,
+    BrokenPath,
+    DegenerateSegment,
+    binormality_residual,
     copy_with_points,
     descend,
     l_r_gradient,
     l_r_value,
     polygonal_length,
     refine,
+    straight_path,
 )
 from stringhom.chords import (
     _count_distinct,
-    BrokenPath,
     ChordConfig,
     Component,
-    DegenerateSegment,
     ParameterOutOfRange,
     ParamSubmanifold,
-    binormality_residual,
     builtin_config,
     chord_sum_spectrum,
     find_spectrum,
     single_sphere,
-    straight_path,
 )
 
 

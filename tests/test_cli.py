@@ -650,11 +650,13 @@ class TestErrorExits:
         assert err.startswith("error: invalid DGA: ") and repr(field) in err
 
 
+# Also a flag the program no longer has: chords --nu set nothing the search used.
 @pytest.mark.parametrize(
     "argv",
     [["distinguish", "--d", "2", "--csv", "out.csv"],
-     ["specseq", "--builtin", "hopf", "--a", "3.5", "--json", "out.json"]],
-    ids=["distinguish_csv", "specseq_json"],
+     ["specseq", "--builtin", "hopf", "--a", "3.5", "--json", "out.json"],
+     ["chords", "--builtin", "hopf", "--nu", "4"]],
+    ids=["distinguish_csv", "specseq_json", "chords_nu"],
 )
 def test_unwritten_output_flag_is_usage_error(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -713,6 +715,42 @@ def test_huge_window_exit_6_before_search(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [(["--builtin", "hopf", "--circle-seeds", "1000000"],
+      "6000000000000 floats per Gauss-Newton array for 1000000000000 seed pairs in R^3"),
+     (["--builtin", "hopf", "--d", "3", "--sphere-seeds", "100000"],
+      "200000000000 floats per Gauss-Newton array for 10000000000 seed pairs in R^5"),
+     (["--builtin", "unlink", "--z2star", "3", "--d", "100"],
+      "51064992 floats per Gauss-Newton array for 1296 seed pairs in R^199"),
+     (["--builtin", "hopf", "--d", "2000"],
+      "15988002 floats per Gauss-Newton array for 1 seed pairs in R^3999"),
+     (["--builtin", "single", "--d", "100000"],
+      "39999400002 floats per Gauss-Newton array for 1 seed pairs in R^199999")],
+    ids=["circle_seeds", "sphere_seeds", "d_100", "d_2000", "d_100000"],
+)
+def test_huge_chord_grid_exit_6_before_allocation(argv, size, tmp_path):
+    # Each of these would ask for gigabytes to terabytes: the seed grid, or
+    # at d = 2000 and up even one seed pair, is refused before it is built.
+    # The address-space limit turns a missed check into a fast MemoryError.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringhom.cli", "chords", *argv, "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.startswith("error: bad parameter: " + size)
+    assert f"above the cap of {chords.MAX_GRID_FLOATS}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 HOPF_HOMOLOGY = ["dga-homology", "--builtin", "hopf", "--a", "9/2"]
 # Command sequences run in one process.  Whatever an earlier call leaves in
 # the shared parser (an appended --degree list, a failed parse) would show as
@@ -768,9 +806,6 @@ def test_repeated_main_calls_match_fresh_parsers(sequence, tmp_path, capsys):
 # Errors defined under src/stringhom that no CLI run can raise, with the reason.
 UNREACHABLE = {
     "free_dga.DGAError": "base class, never raised itself; every subclass is mapped",
-    "chords.ChordError": "base class, never raised itself; its subclasses are checked here",
-    "chords.DegenerateSegment": "every chord of the built-in links has length at least 1, "
-    "far above the chords.EPS_MIN = 1e-3 that makes a segment degenerate",
     "lengths.IncompatibleRadicals": "CLI window bounds are rational, and DGA.validate "
     "rejects generator lengths over two radicands as InvalidDGA",
 }
