@@ -98,12 +98,7 @@ def _write_results(args, result=None, header=None, rows=()) -> None:
 
 def _load_or_build_dga(args) -> free_dga.DGA:
     if getattr(args, "spec", None):
-        try:
-            return free_dga.load_dga(args.spec)
-        except free_dga.DGAError:
-            raise
-        except Exception as exc:
-            raise free_dga.InvalidDGA(str(exc)) from exc
+        return free_dga.load_dga(args.spec)
     if args.builtin == "hopf":
         return free_dga.build_hopf(args.d)
     if args.builtin == "unlink":

@@ -19,10 +19,14 @@ groups and documented inline:
   so path classes are meridian powers A_k and every skein instance reads
   A_(j+k) = A_(j+k+1) + A_j A_k.  With A_0 = 0 everything collapses to Q.
 * hopf_link -- pi_1 = Z^2 on the two meridians; the longitude of each
-  component equals the other component's meridian, so same-component
-  classes are powers of the own meridian modulo nothing else, and the two
-  cross classes are single points of the double coset.  The quotient is
-  free on the cross cords modulo both products, matching Q[a,b]/(ab).
+  component is the other one's meridian, so a class s_ii_p from component
+  i to itself keeps the power p of its own meridian and the cross classes
+  x_01, x_10 are single cosets.  A composable pair (g1, g2) from i to j != i
+  gives x_ij = x_ij + g1 g2; one from i back to i gives s_ii_p =
+  s_ii_(p+delta) + g1 g2 with p = depth(g1) + depth(g2), where delta = 1 if
+  g1 ends on i and 0 if it ends on the other component (x_ij x_ji), kept
+  when p + delta <= kmax.  The quotient is free on the cross cords modulo
+  both products, matching Q[a,b]/(ab).
 * unlink2  -- pi_1 = F_2 and both longitudes vanish, so path classes are
   arbitrary reduced words; the presentation keeps the trivial cords plus
   the single-meridian-power families (i, mu_c^k, j), k <= kmax, which the
@@ -40,7 +44,7 @@ strictly deeper than everything else in the row); the slices are those of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -169,71 +173,21 @@ def _unknot_presentation(kmax: int) -> CordPresentation:
     return CordPresentation(gens, ["a0"], skein, bound=kmax + 2, name="unknot")
 
 
-class _HopfClass:
-    """Path classes for the Hopf link: Z^2 modulo the end longitudes.
-
-    A class from component i to component j is the coset of an exponent
-    vector (e0, e1) modulo the subgroup generated by the longitudes of the
-    two ends; the longitude of component i is the other meridian, so
-    same-component classes keep the own-meridian power and cross classes
-    are single cosets.
-    """
-
-    @staticmethod
-    def normalize(i: int, j: int, e: tuple[int, int]):
-        if i == j:
-            return ("self", i, e[i])
-        return ("cross", i, j)
-
-    @staticmethod
-    def symbol(cls, kmax: int):
-        kind = cls[0]
-        if kind == "self":
-            _, i, power = cls
-            if power < 0 or power > kmax:
-                return None
-            return f"s{i}{i}_{power}"
-        _, i, j = cls
-        return f"x{i}{j}"
-
-
 def _hopf_presentation(kmax: int) -> CordPresentation:
-    gens = []
-    for i in (0, 1):
-        for k in range(kmax + 1):
-            gens.append(CordGenerator(f"s{i}{i}_{k}", i, i, depth=k))
-    gens.append(CordGenerator("x01", 0, 1, depth=0))
-    gens.append(CordGenerator("x10", 1, 0, depth=0))
-    by_symbol = {}
-    for g in gens:
-        by_symbol[g.id] = g
-
-    def lift(gid: str) -> tuple[int, int, int, tuple[int, int]]:
-        g = by_symbol[gid]
-        if gid.startswith("s"):
-            e = [0, 0]
-            e[g.source] = g.depth
-            return g.source, g.target, (e[0], e[1])
-        return g.source, g.target, (0, 0)
-
+    gens = [CordGenerator(f"s{i}{i}_{k}", i, i, depth=k) for i in (0, 1) for k in range(kmax + 1)]
+    gens += [CordGenerator("x01", 0, 1), CordGenerator("x10", 1, 0)]
     skein = []
     for g1 in gens:
         for g2 in gens:
             if g1.target != g2.source:
                 continue
-            c = g1.target
-            i1, _, e1 = lift(g1.id)
-            _, j2, e2 = lift(g2.id)
-            concat = (e1[0] + e2[0], e1[1] + e2[1])
-            inserted = list(concat)
-            inserted[c] += 1
-            sym_c = _HopfClass.symbol(_HopfClass.normalize(i1, j2, concat), kmax)
-            sym_i = _HopfClass.symbol(
-                _HopfClass.normalize(i1, j2, tuple(inserted)), kmax
-            )
-            if sym_c is None or sym_i is None:
-                continue
-            skein.append(SkeinInstance(sym_c, sym_i, g1.id, g2.id))
+            i, j = g1.source, g2.target
+            p = g1.depth + g2.depth
+            delta = int(g1.target == i)  # the inserted meridian is i's own
+            if i != j:
+                skein.append(SkeinInstance(f"x{i}{j}", f"x{i}{j}", g1.id, g2.id))
+            elif p + delta <= kmax:
+                skein.append(SkeinInstance(f"s{i}{i}_{p}", f"s{i}{i}_{p + delta}", g1.id, g2.id))
     return CordPresentation(
         gens, ["s00_0", "s11_0"], skein, bound=kmax + 2, name="hopf_link"
     )
@@ -327,23 +281,13 @@ def _extract_rewrites(pres: CordPresentation, rows: list[dict]):
             r = _substitute(row, table)
             if not r:
                 continue
-            occur: dict[str, int] = {}
-            for w in r:
-                for g in w:
-                    occur[g] = occur.get(g, 0) + 1
-            candidate = None
-            depth_best = None
-            for w in r:
-                if len(w) == 1 and occur[w[0]] == 1 and w[0] not in table:
-                    dep = pres.depth(w[0])
-                    others = max(
-                        (pres.depth(g) for ww in r for g in ww if g != w[0]),
-                        default=-1,
-                    )
-                    if dep > others and (depth_best is None or dep > depth_best):
-                        candidate = w[0]
-                        depth_best = dep
-            if candidate is None:
+            # Solve for the deepest letter only if no other letter ties its
+            # depth and it occurs once, as a one-letter word not yet rewritten.
+            letters = [g for w in r for g in w]
+            depths = [pres.depth(g) for g in letters]
+            top = max(depths, default=None)
+            candidate = letters[depths.index(top)] if depths.count(top) == 1 else None
+            if candidate is None or (candidate,) not in r or candidate in table:
                 rest.append(row)
                 continue
             # Solving by a lead of +-1 keeps ``int`` coefficients ``int``.
@@ -437,20 +381,9 @@ def presentation_to_json_dict(pres: CordPresentation) -> dict:
     return {
         "name": pres.name,
         "bound": pres.bound,
-        "generators": [
-            {"id": g.id, "source": g.source, "target": g.target, "depth": g.depth}
-            for g in pres.generators
-        ],
+        "generators": [asdict(g) for g in pres.generators],
         "constants": list(pres.constants),
-        "skein": [
-            {
-                "concat": s.concat,
-                "inserted": s.inserted,
-                "left": s.left,
-                "right": s.right,
-            }
-            for s in pres.skein
-        ],
+        "skein": [asdict(s) for s in pres.skein],
     }
 
 

@@ -105,10 +105,6 @@ class AlgebraElement:
         return cls()
 
     @classmethod
-    def unit(cls, coeff=1) -> "AlgebraElement":
-        return cls({UNIT: Fraction(coeff)})
-
-    @classmethod
     def from_word(cls, word: Iterable[str], coeff=1) -> "AlgebraElement":
         return cls({tuple(word): Fraction(coeff)})
 
@@ -926,18 +922,26 @@ def dga_from_json_dict(data: Mapping) -> DGA:
     integer ``degree`` and ``weight`` (default 1) and a ``length`` given as
     a string or an integer; ``diff`` (default empty) maps generator ids to
     lists of terms, each with a ``coeff`` (string or integer) and a
-    ``word``, a list of generator ids.  A missing key or a field of the
-    wrong JSON type raises ``InvalidDGA``.
+    ``word``, a list of generator ids; ``name`` (default empty) is a
+    string.  A missing key, a field of the wrong JSON type, or a length or
+    coefficient that does not parse raises ``InvalidDGA``.
     """
 
     def get(record, key, kinds, what, default=jsonio.REQUIRED):
         return jsonio.field(record, key, kinds, what, InvalidDGA, default)
 
+    def parse(parser, record, key, what):
+        text = get(record, key, (str, int), what)
+        try:
+            return parser(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidDGA(f"{what} field {key!r} does not parse: {text!r}") from exc
+
     gens = [
         Generator(
             get(g, "id", str, "generator"),
             get(g, "degree", int, "generator"),
-            parse_length(get(g, "length", (str, int), "generator")),
+            parse(parse_length, g, "length", "generator"),
             get(g, "weight", int, "generator", 1),
         )
         for g in get(data, "generators", list, "DGA")
@@ -950,10 +954,10 @@ def dga_from_json_dict(data: Mapping) -> DGA:
             word = get(t, "word", list, "diff term")
             if not all(type(x) is str for x in word):
                 raise InvalidDGA(f"diff term word must be a list of str, got {word!r}")
-            coeff = get(t, "coeff", (str, int), "diff term")
-            el = el + AlgebraElement.from_word(tuple(word), Fraction(coeff))
+            coeff = parse(Fraction, t, "coeff", "diff term")
+            el = el + AlgebraElement.from_word(tuple(word), coeff)
         diff[gid] = el
-    return DGA(gens, diff, name=str(data.get("name", "")))
+    return DGA(gens, diff, name=get(data, "name", str, "DGA", ""))
 
 
 def save_dga(dga: DGA, path) -> None:

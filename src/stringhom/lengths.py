@@ -70,11 +70,6 @@ class Surd:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.p
-
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * self.n ** 0.5
 

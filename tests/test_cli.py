@@ -649,6 +649,23 @@ class TestErrorExits:
                          3, tmp_path, capsys)
         assert err.startswith("error: invalid DGA: ") and repr(field) in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("length", "abc"), ("coeff", "1/0"), ("coeff", "x"), ("name", 5)],
+        ids=["length_abc", "coeff_zero_denominator", "coeff_x", "name_int"],
+    )
+    def test_unparsable_spec_field_exit_3(self, field, value, tmp_path, capsys):
+        # The loader raises InvalidDGA itself; the CLI has no catch-all to lean on.
+        gen = {"id": "g", "degree": 1, "length": "2"}
+        term = {"coeff": "1", "word": ["x", "x"]}
+        data = {"generators": [{"id": "x", "degree": 0, "length": "1"}, gen],
+                "diff": {"g": [term]}}
+        {"length": gen, "coeff": term, "name": data}[field][field] = value
+        spec = _write_json(tmp_path / "unparsable.json", data)
+        err = self.check(["dga-homology", "--spec", spec, "--degree", "0", "--a", "5/2"],
+                         3, tmp_path, capsys)
+        assert err.startswith("error: invalid DGA: ") and repr(field) in err
+
 
 # Also a flag the program no longer has: chords --nu set nothing the search used.
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cord_oracle import padded_quotient_dims
+from cord_oracle import hopf_skein_by_cosets, padded_quotient_dims
 
 from stringhom import free_dga
 from stringhom.cord import (
@@ -95,6 +95,11 @@ class TestBuiltins:
         # The cross-cross splice produces both product relations.
         prods = {(i.left, i.right) for i in pres.skein if i.concat == i.inserted == "s00_0"}
         assert ("x01", "x10") in prods
+
+    @pytest.mark.parametrize("kmax", range(2, 9))
+    def test_hopf_skein_matches_the_coset_model(self, kmax):
+        # The depth rule of the builder against the exponent-vector cosets, in order.
+        assert builtin_presentation("hopf_link", kmax).skein == hopf_skein_by_cosets(kmax)
 
     def test_unlink2_structure(self):
         pres = builtin_presentation("unlink2", 2)
@@ -371,3 +376,31 @@ class TestIntegerTietze:
         table, leftovers = _extract_rewrites(pres, [{("a",): 2, ("b",): 1}])
         assert table == {"a": {("b",): Fraction(-1, 2)}} and leftovers == []
         assert type(table["a"][("b",)]) is Fraction
+
+    @staticmethod
+    def _solve(depths: dict, rows: list[dict]):
+        gens = [CordGenerator(g, 0, 0, d) for g, d in depths.items()]
+        return _extract_rewrites(CordPresentation(gens, [], [], bound=2), rows)
+
+    def test_tied_deepest_letters_stay(self):
+        # a and b share the top depth, so neither is strictly deepest.
+        rows = [{("a",): 1, ("b",): -1, ("c",): 1}, {("a",): 1, ("b", "c"): 1}]
+        table, leftovers = self._solve({"a": 1, "b": 1, "c": 0}, rows)
+        assert table == {} and leftovers == rows
+
+    def test_deepest_letter_also_inside_a_product_stays(self):
+        # a - c - a c = 0: a occurs twice, so solving for it is no Tietze move.
+        rows = [{("a",): 1, ("c",): -1, ("a", "c"): -1}]
+        assert self._solve({"a": 1, "c": 0}, rows) == ({}, rows)
+
+    def test_deepest_letter_only_inside_a_product_stays(self):
+        rows = [{("c",): 1, ("a", "c"): -1}]
+        assert self._solve({"a": 1, "c": 0}, rows) == ({}, rows)
+
+    def test_strictly_deepest_lone_letter_is_solved(self):
+        # a - b - b c = 0 with a deepest: a = b + b c, and nothing is left.
+        table, leftovers = self._solve(
+            {"a": 2, "b": 1, "c": 0}, [{("a",): 1, ("b",): -1, ("b", "c"): -1}]
+        )
+        assert table == {"a": {("b",): 1, ("b", "c"): 1}} and leftovers == []
+        assert all(type(c) is int for c in table["a"].values())

@@ -7,7 +7,8 @@ and numpy may appear only in ``chords``.
 
 Every top-level function or class and every non-dunder method defined
 there must also be named somewhere under ``src/`` outside its own
-definition, or be listed in ``UNUSED_IN_SRC`` with the reason it stays.
+definition, a method through an attribute access ``x.name``, or be listed
+in ``UNUSED_IN_SRC`` with the reason it stays.
 """
 
 import ast
@@ -73,14 +74,19 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _names_used(tree: ast.AST) -> Counter:
-    """Names read, looked up as attributes or imported in ``tree``, with counts."""
+def _names_used(tree: ast.AST, attributes_only: bool = False) -> Counter:
+    """Names read, looked up as attributes or imported in ``tree``, with counts.
+
+    With ``attributes_only``, only attribute look-ups ``x.name`` count.
+    """
     used: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             used[node.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            used[node.id] += 1
         elif isinstance(node, ast.alias):
             used[node.name] += 1
     return used
@@ -89,12 +95,17 @@ def _names_used(tree: ast.AST) -> Counter:
 def test_every_definition_is_used_or_listed():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum((_names_used(t) for t in trees.values()), Counter())
+    attributes = sum((_names_used(t, True) for t in trees.values()), Counter())
     dead = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
             qualified = f"{module}.{name}"
+            # A method is used only through an attribute access ``x.name``, so
+            # a local or a function of the same name does not keep it alive.
+            method = "." in name
+            counts = attributes if method else everywhere
             # Uses inside the definition itself (recursion) do not count.
-            used = everywhere[node.name] > _names_used(node)[node.name]
+            used = counts[node.name] > _names_used(node, method)[node.name]
             if not used and qualified not in UNUSED_IN_SRC:
                 dead.append(qualified)
             elif used and qualified in UNUSED_IN_SRC:

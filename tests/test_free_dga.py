@@ -155,8 +155,8 @@ class TestDifferential:
 class TestMul:
     def test_unit(self, hopf2):
         x = AlgebraElement.gen("c0_01")
-        assert AlgebraElement.unit() * x == x
-        assert x * AlgebraElement.unit() == x
+        assert AlgebraElement.from_word(()) * x == x
+        assert x * AlgebraElement.from_word(()) == x
 
     def test_concatenation(self):
         got = AlgebraElement.gen("c0_01") * AlgebraElement.gen("c0_10")
@@ -441,6 +441,22 @@ class TestJson:
         data = dga_to_json_dict(hopf2)
         data["diff"]["d1_00"] = [{"coeff": "1", "word": ["c1_00"]}]
         with pytest.raises(InvalidDGA):
+            dga_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "record,field,value,match",
+        [("generator", "length", "abc", "'length' does not parse"),
+         ("term", "coeff", "1/0", "'coeff' does not parse"),
+         ("term", "coeff", "x", "'coeff' does not parse"),
+         ("dga", "name", 5, "'name' must be str")],
+        ids=["length_abc", "coeff_zero_denominator", "coeff_x", "name_int"],
+    )
+    def test_import_rejects_malformed_field(self, record, field, value, match):
+        gen = {"id": "x", "degree": 1, "length": "2"}
+        term = {"coeff": "1", "word": ["y"]}
+        data = {"generators": [gen, {"id": "y", "degree": 0, "length": "1"}], "diff": {"x": [term]}}
+        {"generator": gen, "term": term, "dga": data}[record][field] = value
+        with pytest.raises(InvalidDGA, match=match):
             dga_from_json_dict(data)
 
     def test_import_rejects_diff_of_unknown_generator(self):
