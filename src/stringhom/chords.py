@@ -20,16 +20,22 @@ into (j, i); only self pairs (i, i) are solved on their own.
 Each Gauss-Newton step builds the endpoint frames once and reuses them for
 the residual, every finite-difference column and the step; a seed grid
 whose arrays would exceed ``MAX_GRID_FLOATS`` is refused before it is
-built.  Results are deduplicated by length, with endpoint clusters counted
-as a multiplicity hint for chord families; the count is greedy in length
-order and finds nearby representatives through a grid of cells of the
-dedup tolerance.
+built.  A seed stops after ``GN_ITERATIONS`` steps, below a residual norm of
+1e-14, or at its solver floor: the first step at which its residual norm is
+below ``GRAD_TOL`` and did not fall to half of the previous step's.  On
+degenerate chord families the finite-difference Jacobian leaves residuals
+of 1e-9 to 2e-8 that drift rather than shrink; a seed at its floor already
+counts as converged.  The candidates of all component pairs form one table
+of arrays, sorted once by length.  Results are deduplicated by length, with
+endpoint clusters counted as a multiplicity hint for chord families; the
+count is greedy in length order and finds nearby representatives through a
+grid of cells of the dedup tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, isfinite
+from math import isfinite
 from typing import Iterable
 
 import numpy as np
@@ -263,7 +269,10 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
     ends.  Square system: (k0-1)+(k1-1) equations in as many unknowns.
     Each step builds the frames at both current endpoints once; the base
     residual, the unperturbed end of every finite-difference column and the
-    step directions all reuse them.
+    step directions all reuse them.  A seed is frozen, and leaves the batch,
+    once it is dead (its endpoints meet), its residual norm is at most
+    1e-14, or it sits at its solver floor: its residual norm is below
+    ``GRAD_TOL`` and did not fall to half of the previous step's.
     """
     c0 = manifold.components[comp0]
     c1 = manifold.components[comp1]
@@ -276,6 +285,7 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
 
     h = 1e-7
     work = np.arange(len(u0))
+    prev = np.full(len(u0), np.inf)  # residual norm of each seed at the step before
     for _ in range(iterations):
         w0, w1 = u0[work], u1[work]
         f0, f1 = _perp_frame(w0), _perp_frame(w1)
@@ -283,9 +293,11 @@ def _gauss_newton(manifold, comp0, comp1, u0, u1, iterations):
         p1, tan1 = c1.embed(w1), c1.matrix @ f1
         res, ok = _perp_residual(p0, tan0, p1, tan1)
         alive[work] &= ok
-        # Freeze seeds that are done (or dead) and compact the batch.
+        # Freeze seeds that are done, at their floor or dead; compact the batch.
         resnorm_w = np.max(np.abs(res), axis=1)
-        busy = alive[work] & (resnorm_w > 1e-14)
+        floor = (resnorm_w < GRAD_TOL) & (resnorm_w > 0.5 * prev[work])
+        prev[work] = resnorm_w
+        busy = alive[work] & (resnorm_w > 1e-14) & ~floor
         if not np.any(busy):
             break
         if not np.all(busy):
@@ -364,36 +376,63 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig):
     return out0[good], out1[good], resnorm[good], (len(u0), converged, len(u0) - converged)
 
 
-def _count_distinct(keys: Iterable[np.ndarray], tol: float) -> int:
+def _count_distinct(keys, tol: float) -> int:
     """Greedy count of representatives among endpoint keys, in order.
 
     A key becomes a new representative unless it lies within ``tol`` (max
     norm, strict) of an earlier representative of the same length; keys
-    from component pairs of different dimension never match.  Keys are
-    finite and have at least two coordinates.  Representatives are bucketed
-    by (key length, floor(x0 / tol), floor(x1 / tol)), and a key is tested
-    only against the cells that the open intervals (x - tol, x + tol) of its
-    first two coordinates reach: rounding is monotone, so no representative
-    within ``tol`` lies elsewhere.  Those are the 3 x 3 neighbouring cells,
-    rarely one more row or column.
+    from component pairs of different dimension never match.  ``keys`` is a
+    2-D array whose rows are keys of one length, or a sequence of 1-D keys
+    of any lengths; those are split by length, in order, and counted
+    apart.  Keys are finite, have at least two coordinates, and their first
+    two are below 2^53 * tol in size.  Representatives are bucketed by
+    (floor(x0 / tol), floor(x1 / tol)), and a key is tested only against
+    the cells that the open intervals (x - tol, x + tol) of its first two
+    coordinates reach: rounding is monotone, so no representative within
+    ``tol`` lies elsewhere.  Those are the 3 x 3 neighbouring cells, rarely
+    one more row or column.
     """
+    if isinstance(keys, np.ndarray) and keys.ndim == 2:
+        blocks = [keys]
+    else:
+        by_length: dict[int, list] = {}
+        for key in keys:
+            by_length.setdefault(len(key), []).append(key)
+        blocks = [np.array(rows, dtype=float) for rows in by_length.values()]
+    return sum(_count_block(block, tol) for block in blocks)
+
+
+def _count_block(keys: np.ndarray, tol: float) -> int:
+    """``_count_distinct`` of the rows of one key matrix."""
+    head = keys[:, :2]
+    # Per key: its own cell, then the first and one past the last reachable
+    # row and column.  Keys become lists one at a time, which keeps the
+    # Python objects to the representatives.
+    reach = np.floor(
+        np.concatenate([head / tol, (head - tol) / tol, (head + tol) / tol], axis=1)
+    ).astype(np.int64)
+    reach[:, 4:] += 1
     cells: dict[tuple, list] = {}
     count = 0
-    for key in keys:
+    for key, (h0, h1, r0, c0, r1, c1) in zip(keys, reach.tolist()):
         x = key.tolist()
-        n = len(x)
-        rows = range(floor((x[0] - tol) / tol), floor((x[0] + tol) / tol) + 1)
-        cols = range(floor((x[1] - tol) / tol), floor((x[1] + tol) / tol) + 1)
-        if any(
-            max(abs(a - b) for a, b in zip(rep, x)) < tol
-            for r in rows
-            for c in cols
-            for rep in cells.get((n, r, c), ())
-        ):
-            continue
-        cells.setdefault((n, floor(x[0] / tol), floor(x[1] / tol)), []).append(x)
-        count += 1
+        if not _has_near(x, cells, range(r0, r1), range(c0, c1), tol):
+            cells.setdefault((h0, h1), []).append(x)
+            count += 1
     return count
+
+
+def _has_near(x: list, cells: dict, rows: range, cols: range, tol: float) -> bool:
+    """Whether a representative in the given cells lies within ``tol`` of x."""
+    for r in rows:
+        for c in cols:
+            for rep in cells.get((r, c), ()):
+                for a, b in zip(rep, x):
+                    if abs(a - b) >= tol:
+                        break
+                else:
+                    return True
+    return False
 
 
 def find_spectrum(
@@ -413,6 +452,8 @@ def find_spectrum(
     cells of that size (``_count_distinct``).  Returns results sorted by
     length.
 
+    The candidates form one table of arrays: length, residual norm,
+    component pair and endpoint key (u0 then u1), one row per candidate.
     A length reports the component pair of its first candidate by float
     length.  The sort is stable and a mirror ties its original, so that
     candidate is never a mirror: a cross pair reports as (i, j) with i < j.
@@ -428,56 +469,55 @@ def find_spectrum(
     """
     diagnostics = diagnostics if diagnostics is not None else {}
     bound = cfg.length_bound if cfg.length_bound is not None else np.inf
-    ncomp = len(manifold.components)
-    found: list[tuple] = []
+    comps = manifold.components
+    dims = [c.param_dim for c in comps]
+    width = 2 * max(dims)  # keys of smaller spheres are zero-padded to it
+    table: list[tuple] = []
     pairs: list[list] = []
-    for i in range(ncomp):
-        for j in range(i, ncomp):
+    for i in range(len(comps)):
+        for j in range(i, len(comps)):
             u0s, u1s, resnorms, counts = _pair_candidates(manifold, i, j, cfg)
             pairs.append([i, j, *counts, "solved"])
             if i != j:
                 pairs.append([j, i, *counts, "mirrored"])
-            if len(u0s) == 0:
-                continue
-            p0 = manifold.components[i].embed(u0s)
-            p1 = manifold.components[j].embed(u1s)
-            lens = np.linalg.norm(p1 - p0, axis=1)
+            lens = np.linalg.norm(comps[j].embed(u1s) - comps[i].embed(u0s), axis=1)
             keep = (lens >= EPS_MIN) & (lens < bound)
-            for s in np.flatnonzero(keep):
-                length, resnorm = float(lens[s]), float(resnorms[s])
-                found.append((length, i, j, u0s[s], u1s[s], resnorm))
-                if i != j:
-                    # The reversed chord: same length and residual, bit for bit.
-                    found.append((length, j, i, u1s[s], u0s[s], resnorm))
-    found.sort(key=lambda t: t[0])
-
+            ends = [(i, j)] if i == j else [(i, j), (j, i)]
+            halves = [u0s[keep], u1s[keep]]
+            keys = np.zeros((len(halves[0]), len(ends), width))
+            keys[:, 0, : dims[i] + dims[j]] = np.concatenate(halves, axis=1)
+            if i != j:
+                # The reversed chord: same length and residual, bit for bit.
+                keys[:, 1, : dims[i] + dims[j]] = np.concatenate(halves[::-1], axis=1)
+            table.append((
+                np.repeat(lens[keep], len(ends)),
+                np.repeat(resnorms[keep], len(ends)),
+                np.tile(ends, (len(keys), 1)),
+                keys.reshape(-1, width),
+            ))
+    lens, resnorms, ends, keys = (np.concatenate(column) for column in zip(*table))
+    order = np.argsort(lens, kind="stable")
+    lens, resnorms, ends, keys = lens[order], resnorms[order], ends[order], keys[order]
+    key_lengths = np.take(dims, ends).sum(axis=1)
+    cuts = (np.flatnonzero(np.diff(lens) > DEDUP_LEN_TOL) + 1).tolist()
+    edges = [0, *cuts, len(lens)] if len(lens) else []
     results: list[ChordResult] = []
-    group: list[tuple] = []
-
-    def flush():
-        if not group:
-            return
-        best = group[0]
+    for lo, hi in zip(edges, edges[1:]):
+        source, target = ends[lo].tolist()
+        group = keys[lo:hi]
+        if np.any(key_lengths[lo:hi] != width):
+            group = [key[:n] for key, n in zip(group, key_lengths[lo:hi].tolist())]
         results.append(
             ChordResult(
-                comp_source=best[1],
-                comp_target=best[2],
-                u0=best[3],
-                u1=best[4],
-                length=float(np.median([g[0] for g in group])),
-                residual=max(g[5] for g in group),
-                multiplicity=_count_distinct(
-                    (np.concatenate([g[3], g[4]]) for g in group), DEDUP_PT_TOL
-                ),
+                comp_source=source,
+                comp_target=target,
+                u0=keys[lo, : dims[source]].copy(),
+                u1=keys[lo, dims[source] : dims[source] + dims[target]].copy(),
+                length=float(np.median(lens[lo:hi])),
+                residual=float(np.max(resnorms[lo:hi])),
+                multiplicity=_count_distinct(group, DEDUP_PT_TOL),
             )
         )
-
-    for item in found:
-        if group and item[0] - group[-1][0] > DEDUP_LEN_TOL:
-            flush()
-            group = []
-        group.append(item)
-    flush()
     pairs.sort(key=lambda row: row[:2])
     diagnostics["pairs"] = diagnostics.get("pairs", []) + pairs
     for col, key in ((2, "seeds"), (3, "converged"), (4, "failed")):

@@ -835,7 +835,10 @@ def build_unlink(d: int, z2star) -> DGA:
     z = Fraction(z2star)
     if z <= 2:
         raise ParameterOutOfRange("z2star must exceed 2")
-    cross_len = Surd.sqrt(z * z + 4)
+    try:
+        cross_len = Surd.sqrt(z * z + 4)
+    except ValueError as exc:
+        raise ParameterOutOfRange(f"z2star {z}: sqrt(z2star^2 + 4): {exc}") from None
     gens: list[Generator] = []
     for i, j in _cross():
         gens.append(Generator(f"c0_{i}{j}", d - 2, Surd(z)))
@@ -935,7 +938,7 @@ def dga_from_json_dict(data: Mapping) -> DGA:
         try:
             return parser(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidDGA(f"{what} field {key!r} does not parse: {text!r}") from exc
+            raise InvalidDGA(f"{what} field {key!r} does not parse: {text!r} ({exc})") from exc
 
     gens = [
         Generator(

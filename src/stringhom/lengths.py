@@ -12,6 +12,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
+
+
+# Largest radicand a surd may carry.  Making one square-free trial-divides
+# up to its square root, 10^6 steps at this bound.
+MAX_RADICAND = 10**12
 
 
 class IncompatibleRadicals(ValueError):
@@ -43,6 +49,8 @@ class Surd:
         if n < 0:
             raise ValueError("negative radicand")
         if q != 0 and n > 1:
+            if n > MAX_RADICAND:
+                raise ValueError(f"radicand {n} is above {MAX_RADICAND}")
             m, s = _squarefree(n)
             q, n = q * s, m
         if n <= 1:
@@ -64,6 +72,9 @@ class Surd:
         if value < 0:
             raise ValueError("sqrt of negative rational")
         num, den = value.numerator, value.denominator
+        root = isqrt(den)
+        if root * root == den:  # sqrt(num / root^2) = sqrt(num) / root
+            return cls(0, Fraction(1, root), num)
         return cls(0, Fraction(1, den), num * den)
 
     @property

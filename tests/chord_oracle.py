@@ -30,10 +30,12 @@ batched flow on the acceptance configurations.
 
 ``_gauss_newton`` and ``_count_distinct``: the solver and the multiplicity
 count as they were before the search stopped rebuilding tangent frames
-inside each Jacobian column and bucketed its representatives by grid cell.
-They are verbatim copies, with the Householder frame (``_perp_frame``)
-copied too and reached through ``_tangent_frame``, so that the tests can
-require the search to reproduce their every float and count.
+inside each Jacobian column, bucketed its representatives by grid cell and
+stopped each seed at its solver floor.  They are verbatim copies, with the
+Householder frame (``_perp_frame``) copied too and reached through
+``_tangent_frame``, so that the tests can require every solver row to be
+this solver's row after the step at which one of the two stops the seed,
+and every count to be this count.
 """
 
 from typing import Iterable

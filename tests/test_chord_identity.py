@@ -1,10 +1,17 @@
-"""The chord search reproduces its earlier form bit for bit.
+"""The chord search reproduces its earlier form, stopped at each seed's floor.
 
 ``chord_oracle`` keeps verbatim copies of the Gauss-Newton solver and of the
 multiplicity count from before the search reused its endpoint frames and
-bucketed its representatives.  Every float and count of the search must stay
-the same: the reported component pair of a length follows last-ulp
-differences between Gauss-Newton results.
+bucketed its representatives.  The solver now also stops a seed at its
+solver floor: the first step at which its residual norm is below
+``GRAD_TOL`` and did not fall to half of the previous step's.  So every row
+the solver returns must equal, bit for bit, the oracle's row after the step
+at which the oracle stops it (dead, below 1e-14 or out of steps) or the
+floor rule fires, whichever comes first; and every row that the floor rule
+stopped early must sit below ``GRAD_TOL``.  The reported lengths and
+component pairs stay those of the oracle's full solve: the reported pair of
+a length carried by several self pairs follows last-ulp differences between
+Gauss-Newton results.
 """
 
 import math
@@ -52,64 +59,119 @@ CASES = {
     "random4": ("random4", None),
 }
 
+
+def _oracle_states(manifold, i, j, u0, u1):
+    """The oracle's (u0, u1, residual norm, alive) after 0..GN_ITERATIONS steps.
+
+    Each step restarts the oracle for one step from the last state.  Its
+    only other state is which seeds are frozen, and it recomputes that from
+    the endpoints: a dead seed stays dead and a seed below 1e-14 stays
+    below, where they were frozen.
+    """
+    states = [chord_oracle._gauss_newton(manifold, i, j, u0, u1, 0)]
+    for _ in range(chords.GN_ITERATIONS):
+        states.append(chord_oracle._gauss_newton(manifold, i, j, *states[-1][:2], 1))
+    return [np.stack(field) for field in zip(*states)]
+
+
+def _expected_stop(resnorm, alive):
+    """Per seed, the step after which the solver should return it.
+
+    ``resnorm`` and ``alive`` hold the oracle's rows for steps
+    0..GN_ITERATIONS.  The oracle stops a seed at the first step where it is
+    dead or at most 1e-14, else after the last step; the floor rule fires at
+    the first step t >= 1 where its residual norm is below ``GRAD_TOL`` and
+    above half of step t - 1's.
+    """
+    hit = ~alive | (resnorm <= 1e-14)
+    hit[1:] |= (resnorm[1:] < chords.GRAD_TOL) & (resnorm[1:] > 0.5 * resnorm[:-1])
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(resnorm) - 1)
+
+
 @pytest.fixture(scope="module")
-def oracle_runs():
-    """Oracle solver results, shared by the cases that use one manifold."""
-    return {}
+def solves():
+    """Per manifold: (pair, seeds, solver result, oracle states) per solved pair."""
+    cache = {}
 
+    def get(name):
+        if name not in cache:
+            manifold = MANIFOLDS[name]()
+            cfg = chords.ChordConfig()
+            ncomp = len(manifold.components)
+            cache[name] = []
+            for i in range(ncomp):
+                for j in range(i, ncomp):
+                    u0, u1 = chords._seed_grid(manifold, i, j, cfg)
+                    got = chords._gauss_newton(manifold, i, j, u0, u1, chords.GN_ITERATIONS)
+                    states = _oracle_states(manifold, i, j, u0, u1)
+                    full = chord_oracle._gauss_newton(
+                        manifold, i, j, u0, u1, chords.GN_ITERATIONS
+                    )
+                    for a, b in zip(full, states):
+                        assert np.array_equal(a, b[-1], equal_nan=True), (name, i, j)
+                    cache[name].append(((i, j), (u0, u1), got, states))
+        return cache[name]
 
-def _search(name, bound, gauss_newton, count_distinct, monkeypatch):
-    """find_spectrum with the given solver and count; also the solver's calls."""
-    calls = []
-
-    def recording(manifold, i, j, u0, u1, iterations):
-        out = gauss_newton(manifold, i, j, u0, u1, iterations)
-        calls.append(((i, j), u0, u1, out))
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(chords, "_gauss_newton", recording)
-        m.setattr(chords, "_count_distinct", count_distinct)
-        results = chords.find_spectrum(MANIFOLDS[name](), chords.ChordConfig(length_bound=bound))
-    return results, calls
-
-
-def _oracle_solver(name, cache):
-    """The oracle solver, run once per manifold and ordered component pair."""
-
-    def solve(manifold, i, j, u0, u1, iterations):
-        key = (name, i, j, iterations)
-        if key not in cache:
-            cache[key] = (u0, u1, chord_oracle._gauss_newton(manifold, i, j, u0, u1, iterations))
-        seed0, seed1, out = cache[key]
-        assert np.array_equal(seed0, u0) and np.array_equal(seed1, u1)
-        return tuple(a.copy() for a in out)
-
-    return solve
+    return get
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_search_is_bit_identical(case, oracle_runs, monkeypatch):
+def test_search_is_bit_identical(case, solves, monkeypatch):
+    # (a) Each solver row is the oracle's row after the step at which the
+    # oracle stops it or the floor rule fires, whichever comes first: u0,
+    # u1, residual norm and alive flag, every bit.
     name, bound = CASES[case]
-    got, got_calls = _search(name, bound, chords._gauss_newton, chords._count_distinct,
-                             monkeypatch)
-    want, want_calls = _search(name, bound, _oracle_solver(name, oracle_runs),
-                               chord_oracle._count_distinct, monkeypatch)
-    ncomp = len(MANIFOLDS[name]().components)
-    pairs = [(i, j) for i in range(ncomp) for j in range(i, ncomp)]
-    assert [c[0] for c in got_calls] == [c[0] for c in want_calls] == pairs
-    # Gauss-Newton: u0, u1, residual norm and alive flags, every bit.
-    for (pair, u0, u1, out), (_, v0, v1, ref) in zip(got_calls, want_calls):
-        assert np.array_equal(u0, v0) and np.array_equal(u1, v1), pair
-        for a, b in zip(out, ref):
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), pair
+    runs = solves(name)
+    for pair, _, got, states in runs:
+        stop = _expected_stop(states[2], states[3])
+        rows = np.arange(len(stop))
+        for field, (a, b) in enumerate(zip(got, states)):
+            assert a.dtype == b.dtype, (pair, field)
+            assert np.array_equal(a, b[stop, rows], equal_nan=True), (pair, field)
+    # The search solves each pair i <= j once, from its seed grid, for
+    # GN_ITERATIONS steps.
+    manifold, cfg = MANIFOLDS[name](), chords.ChordConfig(length_bound=bound)
+    calls, solve = [], chords._gauss_newton
+
+    def recording(manifold, i, j, u0, u1, iterations):
+        calls.append(((i, j), u0, u1, iterations))
+        return solve(manifold, i, j, u0, u1, iterations)
+
+    with monkeypatch.context() as m:
+        m.setattr(chords, "_gauss_newton", recording)
+        got = chords.find_spectrum(manifold, cfg)
+    assert [c[0] for c in calls] == [run[0] for run in runs]
+    for (_, u0, u1, iterations), (pair, seeds, _, _) in zip(calls, runs):
+        assert np.array_equal(u0, seeds[0]) and np.array_equal(u1, seeds[1]), pair
+        assert iterations == chords.GN_ITERATIONS, pair
+    # The reported lengths and pairs are those of the oracle's full solve.
+    with monkeypatch.context() as m:
+        m.setattr(chords, "_gauss_newton", chord_oracle._gauss_newton)
+        want = chords.find_spectrum(manifold, cfg)
     assert got, case
-    assert len(got) == len(want)
-    for r, s in zip(got, want):
-        assert (r.length, r.comp_source, r.comp_target, r.residual, r.multiplicity) == (
-            s.length, s.comp_source, s.comp_target, s.residual, s.multiplicity
-        )
-        assert np.array_equal(r.u0, s.u0) and np.array_equal(r.u1, s.u1)
+    assert [(r.length, r.comp_source, r.comp_target) for r in got] == [
+        (r.length, r.comp_source, r.comp_target) for r in want
+    ]
+    # The multiplicity is the oracle's count of the same candidate keys.
+    with monkeypatch.context() as m:
+        m.setattr(chords, "_count_distinct", chord_oracle._count_distinct)
+        counted = chords.find_spectrum(manifold, cfg)
+    assert [r.multiplicity for r in got] == [r.multiplicity for r in counted]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_floor_stops_sit_below_grad_tol(name, solves):
+    # (b) A row that the solver stopped before the oracle did was stopped
+    # by the floor rule: it must already count as converged.
+    early = 0
+    for pair, _, (_, _, resnorm, alive), states in solves(name):
+        final = states[2][-1]
+        stopped = ~((resnorm == final) | (np.isnan(resnorm) & np.isnan(final)))
+        assert np.all(resnorm[stopped] < chords.GRAD_TOL), (pair, resnorm[stopped].max())
+        assert np.all(alive[stopped]), pair
+        early += int(np.sum(stopped))
+    if name.startswith(("hopf", "unlink")):
+        assert early, name
 
 
 @pytest.mark.parametrize("case", [c for c in sorted(CASES) if c.startswith(("bench", "accept"))])

@@ -732,6 +732,33 @@ def test_huge_window_exit_6_before_search(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [(["dga-homology", "--spec", "big.json", "--degree", "0", "--a", "3"], 3,
+      "error: invalid DGA: generator field 'length' does not parse"),
+     (["dga-homology", "--builtin", "unlink", "--z2star", "1000000007", "--degree", "0"], 6,
+      "error: bad parameter: z2star 1000000007"),
+     (["distinguish", "--d", "2", "--z2star", "1000000007"], 6,
+      "error: bad parameter: z2star 1000000007")],
+    ids=["spec_length", "dga_homology_z2star", "distinguish_z2star"],
+)
+def test_huge_radicand_exits_before_factoring(argv, code, message, tmp_path):
+    # sqrt(10^18 + 3) and sqrt(1000000007^2 + 4) would each take about 10^9
+    # trial divisions; the radicand bound refuses them at once.
+    _write_json(tmp_path / "big.json", {"generators": [
+        {"id": "a", "degree": 0, "length": "sqrt(1000000000000000003)"}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringhom.cli", *argv, "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=30, cwd=tmp_path,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert "above 1000000000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _limit_address_space():
     import resource
 

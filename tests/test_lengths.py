@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stringhom.lengths import IncompatibleRadicals, Surd, parse_length
+from stringhom.lengths import MAX_RADICAND, IncompatibleRadicals, Surd, parse_length
 
 
 def test_sqrt_of_rational():
@@ -17,6 +17,25 @@ def test_square_extraction():
     assert Surd(0, 1, 12) == Surd(0, 2, 3)
     assert Surd(0, 1, 9) == Surd(3)
     assert Surd(0, 5, 0) == Surd(0)
+
+
+def test_radicand_above_the_bound_is_refused():
+    # 10^12 = 2^12 5^12 factors at once; one more is refused before the
+    # trial division, which would take 10^9 steps for 10^18 + 3.
+    assert Surd(0, 1, MAX_RADICAND) == Surd(10**6)
+    for text in (f"sqrt({MAX_RADICAND + 1})", "sqrt(1000000000000000003)"):
+        with pytest.raises(ValueError, match="above"):
+            parse_length(text)
+    with pytest.raises(ValueError, match="above"):
+        Surd.sqrt(Fraction(10**18 + 3, 7))
+    # A square denominator leaves the radicand alone: sqrt(z^2 + 4) for
+    # z = 500001/7 has radicand 500001^2 + 196, not 49 times that.
+    z = Fraction(500001, 7)
+    root = Surd.sqrt(z * z + 4)
+    assert (root.p, root.q, root.n) == (0, Fraction(1, 7), 500001**2 + 196)
+    assert root * root == Surd(z * z + 4)
+    assert Surd.sqrt(Fraction(13, 4)) == Surd(0, Fraction(1, 2), 13)
+    assert Surd.sqrt(Fraction(8, 3)) == Surd(0, Fraction(2, 3), 6)
 
 
 def test_ring_ops_same_radical():
