@@ -34,9 +34,9 @@ grid of cells of the dedup tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from math import isfinite
-from typing import Iterable
 
 import numpy as np
 
@@ -172,31 +172,26 @@ GN_ITERATIONS = 40
 MAX_GRID_FLOATS = 10**6
 
 
-@dataclass
-class ChordConfig:
-    length_bound: float | None = None
-    seeds_per_circle: int = 24
-    seeds_per_sphere: int = 36
+class ChordConfig(namedtuple("ChordConfig", "length_bound seeds_per_circle seeds_per_sphere")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("seeds_per_circle", "seeds_per_sphere"):
-            if getattr(self, name) < 1:
-                raise ParameterOutOfRange(f"{name} must be positive")
-        if self.length_bound is not None and not isfinite(self.length_bound):
+    def __new__(cls, length_bound: float | None = None, seeds_per_circle: int = 24,
+                seeds_per_sphere: int = 36):
+        if seeds_per_circle < 1:
+            raise ParameterOutOfRange("seeds_per_circle must be positive")
+        if seeds_per_sphere < 1:
+            raise ParameterOutOfRange("seeds_per_sphere must be positive")
+        if length_bound is not None and not isfinite(length_bound):
             raise ParameterOutOfRange("length_bound must be finite")
-        if self.length_bound is not None and self.length_bound <= 0:
+        if length_bound is not None and length_bound <= 0:
             raise ParameterOutOfRange("length_bound must be positive")
+        return super().__new__(cls, length_bound, seeds_per_circle, seeds_per_sphere)
 
 
-@dataclass
-class ChordResult:
-    comp_source: int
-    comp_target: int
-    u0: np.ndarray
-    u1: np.ndarray
-    length: float
-    residual: float
-    multiplicity: int
+class ChordResult(namedtuple(
+    "ChordResult", "comp_source comp_target u0 u1 length residual multiplicity"
+)):
+    __slots__ = ()
 
     def as_json_dict(self) -> dict:
         return {
@@ -531,20 +526,32 @@ def find_spectrum(
 
 
 def chord_sum_spectrum(lengths: list[float], m: int, a: float, tol: float = 1e-7) -> list[float]:
-    """All m-fold sums of chord lengths below a, sorted and deduplicated."""
+    """All m-fold sums of chord lengths below a, sorted and deduplicated.
+
+    Each multiset of m lengths is summed left to right in ascending order.
+    The walk over them stops a branch once its partial sum reaches a: the
+    lengths are positive, so adding more never lowers a float sum.
+    """
     if m < 1:
         raise ParameterOutOfRange("m must be at least 1")
     if a <= 0:
         raise ParameterOutOfRange("a must be positive")
-    from itertools import combinations_with_replacement
-
-    sums = sorted(
-        s
-        for combo in combinations_with_replacement(sorted(lengths), m)
-        if (s := float(sum(combo))) < a
-    )
+    ordered = sorted(lengths)
+    if not all(x > 0 for x in ordered):
+        raise ParameterOutOfRange("chord lengths must be positive")
+    sums = []
+    stack = [(0, 0, 0)]  # (partial sum, terms in it, index of its last length)
+    while stack:
+        partial, terms, last = stack.pop()
+        if terms == m:
+            sums.append(float(partial))
+            continue
+        for k in range(last, len(ordered)):
+            if (s := partial + ordered[k]) >= a:
+                break
+            stack.append((s, terms + 1, k))
     out: list[float] = []
-    for s in sums:
+    for s in sorted(sums):
         if not out or s - out[-1] > tol:
             out.append(s)
     return out

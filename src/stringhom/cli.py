@@ -206,9 +206,13 @@ def cmd_chords(args) -> int:
         sums = chords.chord_sum_spectrum(lengths, args.m, args.a)
         print(f"{args.m}-fold sums below a: {[round(s, 9) for s in sums]}")
     if args.a is not None:
-        near = [s for m in range(1, max(2, args.m) + 1)
-                for s in chords.chord_sum_spectrum(lengths, m, args.a + 1.0)
-                if abs(s - args.a) < 1e-6]
+        near = []
+        for m in range(1, max(2, args.m) + 1):
+            # An (m+1)-fold sum is at least the m-fold sum of its m shortest
+            # lengths, so once no m-fold sum lies below a + 1, none larger does.
+            if not (sums_m := chords.chord_sum_spectrum(lengths, m, args.a + 1.0)):
+                break
+            near += [s for s in sums_m if abs(s - args.a) < 1e-6]
         if near:
             print(f"warning: window bound {args.a} sits on the length spectrum {near}")
     rate = diagnostics.get("failure_rate", 0.0)

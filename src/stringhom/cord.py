@@ -44,9 +44,9 @@ strictly deeper than everything else in the row); the slices are those of
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from . import free_dga, jsonio
 from .lengths import Surd
@@ -70,22 +70,10 @@ class InvalidPresentation(CordError):
     """A presentation record lacks a key or holds a field of the wrong type."""
 
 
-@dataclass(frozen=True)
-class CordGenerator:
-    id: str
-    source: int
-    target: int
-    depth: int = 0
+CordGenerator = namedtuple("CordGenerator", "id source target depth", defaults=(0,))
 
-
-@dataclass(frozen=True)
-class SkeinInstance:
-    """[concat] - [inserted] - [left][right] = 0."""
-
-    concat: str
-    inserted: str
-    left: str
-    right: str
+# [concat] - [inserted] - [left][right] = 0.
+SkeinInstance = namedtuple("SkeinInstance", "concat inserted left right")
 
 
 class CordPresentation:
@@ -381,9 +369,9 @@ def presentation_to_json_dict(pres: CordPresentation) -> dict:
     return {
         "name": pres.name,
         "bound": pres.bound,
-        "generators": [asdict(g) for g in pres.generators],
+        "generators": [g._asdict() for g in pres.generators],
         "constants": list(pres.constants),
-        "skein": [asdict(s) for s in pres.skein],
+        "skein": [s._asdict() for s in pres.skein],
     }
 
 

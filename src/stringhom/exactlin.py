@@ -19,8 +19,8 @@ every basis produced here deterministic regardless of input order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 def as_fraction(x) -> Fraction:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
 from math import lcm
-from typing import Iterable, Mapping
 
 from . import exactlin, jsonio
 from .exactlin import RowReducer, as_fraction
@@ -73,18 +72,17 @@ class WindowCollision(DGAError):
     """The window bound sits on (or too near) a realizable word length."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    id: str
-    degree: int
-    length: Surd
-    weight: int = 1
+class Generator(namedtuple("Generator", "id degree length weight")):
+    """An immutable record ``(id, degree, length, weight)``; ``weight`` defaults to 1."""
 
-    def __post_init__(self):
-        if self.length.sign() <= 0:
-            raise InvalidDGA(f"generator {self.id} needs positive length")
-        if self.weight <= 0:
-            raise InvalidDGA(f"generator {self.id} needs positive weight")
+    __slots__ = ()
+
+    def __new__(cls, id: str, degree: int, length: Surd, weight: int = 1):
+        if length.sign() <= 0:
+            raise InvalidDGA(f"generator {id} needs positive length")
+        if weight <= 0:
+            raise InvalidDGA(f"generator {id} needs positive weight")
+        return super().__new__(cls, id, degree, length, weight)
 
 
 class AlgebraElement:

@@ -7,7 +7,7 @@ maps to that loader's exit code.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 REQUIRED = object()
 

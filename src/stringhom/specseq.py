@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 
 from . import exactlin, free_dga, jsonio
 from .exactlin import RowReducer, SparseMatrix, as_fraction
@@ -47,10 +46,7 @@ class ConvergenceFailure(Exception):
     """The E-oo degree totals differ from the total homology: a page is wrong."""
 
 
-class Cell(NamedTuple):
-    id: str
-    degree: int
-    filtration: int
+Cell = namedtuple("Cell", "id degree filtration")
 
 
 class FilteredComplex:
@@ -120,10 +116,10 @@ class FilteredComplex:
         return f"FilteredComplex({len(self.cells)} cells)"
 
 
-@dataclass
-class PageTable:
-    r: int
-    dims: dict[tuple[int, int], int]
+class PageTable(namedtuple("PageTable", "r dims")):
+    """Page E^r as ``dims[p, q]``; E-oo has ``r == -1``."""
+
+    __slots__ = ()
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -159,8 +155,7 @@ def pages(bars: dict[tuple, int], rmax: int, homology: Mapping[int, int]) -> lis
     """
     if rmax < 1:
         raise ValueError("page index must be at least 1")
-    einf = page(bars, math.inf)
-    einf.r = -1
+    einf = PageTable(-1, page(bars, math.inf).dims)
     totals = einf.total_dims()
     if any(totals.get(n, 0) != homology.get(n, 0) for n in set(totals) | set(homology)):
         raise ConvergenceFailure("E-oo does not add up to the homology")

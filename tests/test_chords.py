@@ -1,3 +1,8 @@
+import functools
+import operator
+import random
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -369,6 +374,41 @@ class TestSumSpectrum:
             chord_sum_spectrum([1], 0, 5)
         with pytest.raises(ParameterOutOfRange):
             chord_sum_spectrum([1], 1, 0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ParameterOutOfRange, match="chord lengths must be positive"):
+                chord_sum_spectrum([1.0, bad], 2, 5)
+
+    @staticmethod
+    def _enumerated(lengths, m, a, tol=1e-7):
+        """Every multiset of m sorted lengths, summed left to right, then filtered."""
+        sums = sorted(
+            s
+            for combo in combinations_with_replacement(sorted(lengths), m)
+            if (s := float(functools.reduce(operator.add, combo, 0))) < a
+        )
+        out = []
+        for s in sums:
+            if not out or s - out[-1] > tol:
+                out.append(s)
+        return out
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_walk_equals_full_enumeration(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            lengths = [rng.uniform(1e-3, 3.0) for _ in range(rng.randint(0, 6))]
+            lengths += rng.sample(lengths, min(2, len(lengths)))  # repeated lengths
+            m, a = rng.randint(1, 6), rng.uniform(0.01, 12.0)
+            got = chord_sum_spectrum(lengths, m, a)
+            assert got == self._enumerated(lengths, m, a), (lengths, m, a)
+            assert all(type(s) is float for s in got)
+
+    def test_huge_m_runs_at_once(self):
+        # Every branch stops within four terms: four lengths of 1.0 reach a = 3.5.
+        assert chord_sum_spectrum([1.0, 2.0, 3.0], 100_000, 3.5) == []
+        # One branch 2,000 terms deep, summed in the same order as the enumeration.
+        assert chord_sum_spectrum([1e-3], 2_000, 3.5) == [functools.reduce(operator.add,
+                                                                           [1e-3] * 2_000)]
 
 
 def _count_distinct_loop(keys, tol):

@@ -759,6 +759,20 @@ def test_huge_radicand_exits_before_factoring(argv, code, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_chords_huge_m_exits_0_at_once(tmp_path):
+    # The m-fold sums and the near-bound check stop each branch of their walk
+    # at a; enumerating every multiset of 100,000 lengths would never end.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringhom.cli", "chords", "--builtin", "hopf", "--d", "2",
+         "--a", "3.5", "--m", "100000", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "100000-fold sums below a: []" in proc.stdout
+
+
 def _limit_address_space():
     import resource
 

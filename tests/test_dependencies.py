@@ -3,7 +3,9 @@
 Every import statement of every module under ``src/stringhom`` is read
 with ``ast`` (function-level imports included): each must name the
 standard library, ``stringhom`` itself (relative imports too) or numpy,
-and numpy may appear only in ``chords``.
+and numpy may appear only in ``chords``.  None may be ``dataclasses`` or
+``typing``, and a fresh ``python -S`` that imports ``stringhom.cli`` loads
+neither of them nor ``inspect``.
 
 Every top-level function or class and every non-dunder method defined
 there must also be named somewhere under ``src/`` outside its own
@@ -12,6 +14,7 @@ in ``UNUSED_IN_SRC`` with the reason it stays.
 """
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -43,6 +46,36 @@ def test_imports_are_stdlib_stringhom_or_numpy_in_chords():
 
 def test_numpy_is_imported_by_chords():
     assert "numpy" in imported_roots(PACKAGE / "chords.py")
+
+
+def test_no_dataclasses_or_typing_under_src():
+    # Each costs start-up: dataclasses pulls in inspect and compiles methods
+    # per class, and typing takes milliseconds to import on its own.
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not imported_roots(path) & {"dataclasses", "typing"}, path.name
+
+
+STARTUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import stringhom.cli
+print(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
+sys.path.append(sys.argv[2])
+from stringhom import chords
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_cli_starts_without_dataclasses_inspect_or_typing():
+    # -S keeps site-packages (and any .pth file that imports typing) out; numpy's
+    # directory is put on the path only after the CLI import.
+    import numpy
+
+    site = str(Path(numpy.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP, str(PACKAGE.parent), site],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "False"]
 
 
 # Definitions under src/stringhom that nothing under src/ names, with the reason.
