@@ -371,34 +371,19 @@ def _pair_candidates(manifold, i, j, cfg: ChordConfig):
     return out0[good], out1[good], resnorm[good], (len(u0), converged, len(u0) - converged)
 
 
-def _count_distinct(keys, tol: float) -> int:
-    """Greedy count of representatives among endpoint keys, in order.
+def _count_distinct(keys: np.ndarray, tol: float) -> int:
+    """Greedy count of representatives among the rows of a key matrix, in order.
 
     A key becomes a new representative unless it lies within ``tol`` (max
-    norm, strict) of an earlier representative of the same length; keys
-    from component pairs of different dimension never match.  ``keys`` is a
-    2-D array whose rows are keys of one length, or a sequence of 1-D keys
-    of any lengths; those are split by length, in order, and counted
-    apart.  Keys are finite, have at least two coordinates, and their first
-    two are below 2^53 * tol in size.  Representatives are bucketed by
-    (floor(x0 / tol), floor(x1 / tol)), and a key is tested only against
-    the cells that the open intervals (x - tol, x + tol) of its first two
-    coordinates reach: rounding is monotone, so no representative within
-    ``tol`` lies elsewhere.  Those are the 3 x 3 neighbouring cells, rarely
-    one more row or column.
+    norm, strict) of an earlier representative.  Keys are finite, have at
+    least two coordinates, and their first two are below 2^53 * tol in
+    size.  Representatives are bucketed by (floor(x0 / tol), floor(x1 /
+    tol)), and a key is tested only against the cells that the open
+    intervals (x - tol, x + tol) of its first two coordinates reach:
+    rounding is monotone, so no representative within ``tol`` lies
+    elsewhere.  Those are the 3 x 3 neighbouring cells, rarely one more row
+    or column.
     """
-    if isinstance(keys, np.ndarray) and keys.ndim == 2:
-        blocks = [keys]
-    else:
-        by_length: dict[int, list] = {}
-        for key in keys:
-            by_length.setdefault(len(key), []).append(key)
-        blocks = [np.array(rows, dtype=float) for rows in by_length.values()]
-    return sum(_count_block(block, tol) for block in blocks)
-
-
-def _count_block(keys: np.ndarray, tol: float) -> int:
-    """``_count_distinct`` of the rows of one key matrix."""
     head = keys[:, :2]
     # Per key: its own cell, then the first and one past the last reachable
     # row and column.  Keys become lists one at a time, which keeps the
@@ -444,8 +429,10 @@ def find_spectrum(
     multiplicity of a length is the number of endpoint clusters among its
     candidates: a greedy pass in length order keeps a candidate unless its
     endpoints lie within ``DEDUP_PT_TOL`` of a kept one, looked up in grid
-    cells of that size (``_count_distinct``).  Returns results sorted by
-    length.
+    cells of that size (``_count_distinct``).  Keys from component pairs of
+    different dimension never match: a length whose candidates mix key
+    lengths is counted per key length, each without its zero padding.
+    Returns results sorted by length.
 
     The candidates form one table of arrays: length, residual norm,
     component pair and endpoint key (u0 then u1), one row per candidate.
@@ -499,9 +486,7 @@ def find_spectrum(
     results: list[ChordResult] = []
     for lo, hi in zip(edges, edges[1:]):
         source, target = ends[lo].tolist()
-        group = keys[lo:hi]
-        if np.any(key_lengths[lo:hi] != width):
-            group = [key[:n] for key, n in zip(group, key_lengths[lo:hi].tolist())]
+        group, sizes = keys[lo:hi], key_lengths[lo:hi]
         results.append(
             ChordResult(
                 comp_source=source,
@@ -510,7 +495,8 @@ def find_spectrum(
                 u1=keys[lo, dims[source] : dims[source] + dims[target]].copy(),
                 length=float(np.median(lens[lo:hi])),
                 residual=float(np.max(resnorms[lo:hi])),
-                multiplicity=_count_distinct(group, DEDUP_PT_TOL),
+                multiplicity=sum(_count_distinct(group[sizes == n, :n], DEDUP_PT_TOL)
+                                 for n in dict.fromkeys(sizes.tolist())),
             )
         )
     pairs.sort(key=lambda row: row[:2])
@@ -525,8 +511,9 @@ def find_spectrum(
     return results
 
 
-def chord_sum_spectrum(lengths: list[float], m: int, a: float, tol: float = 1e-7) -> list[float]:
-    """All m-fold sums of chord lengths below a, sorted and deduplicated.
+def chord_sum_spectrum(lengths: list[float], m: int, a: float) -> list[float]:
+    """All m-fold sums of chord lengths below a, sorted, and sums closer than
+    ``DEDUP_LEN_TOL`` reported once.
 
     Each multiset of m lengths is summed left to right in ascending order.
     The walk over them stops a branch once its partial sum reaches a: the
@@ -552,6 +539,6 @@ def chord_sum_spectrum(lengths: list[float], m: int, a: float, tol: float = 1e-7
             stack.append((s, terms + 1, k))
     out: list[float] = []
     for s in sorted(sums):
-        if not out or s - out[-1] > tol:
+        if not out or s - out[-1] > DEDUP_LEN_TOL:
             out.append(s)
     return out

@@ -4,10 +4,11 @@ One executable with five subcommands: dga-homology, distinguish, chords,
 cord, specseq.  Results print as plain tables; each subcommand takes only
 the ``--json``/``--csv`` flags it writes, and every run drops a manifest
 (command, parameters, versions, wall time, output paths) into the output
-directory.  Exit codes: 0 ok, 2 invalid length window or usage error, 3
-malformed DGA input, 4 chord search failure rate over the threshold, 5 cord
-truncation instability, 6 parameter out of range or not applicable to the
-input, 7 a failed convergence check of specseq's E-oo against homology.
+directory.  Exit codes: 0 ok, 2 invalid length window, usage error or an
+output that cannot be written, 3 malformed DGA input, 4 chord search
+failure rate over the threshold, 5 cord truncation instability, 6
+parameter out of range or not applicable to the input, 7 a failed
+convergence check of specseq's E-oo against homology.
 Each error exit prints one ``error:`` line on stderr; the mapping is the
 ``ERRORS`` table.  Only ``chords`` imports numpy.
 """
@@ -17,13 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__, cord, free_dga, specseq
+from . import __version__, cord, free_dga, jsonio, specseq
 
 EXIT_OK = 0
 EXIT_WINDOW = 2
@@ -44,9 +44,16 @@ ERRORS = (
         "bad parameter",
     ),
     ((specseq.ConvergenceFailure,), EXIT_CHECK_FAILED, "convergence check failed"),
+    # Every file the CLI reads goes through ``jsonio.load``, which raises the
+    # loader's own error, so an ``OSError`` here comes from writing output.
+    ((OSError,), EXIT_WINDOW, "cannot write output"),
 )
 
 FAILURE_RATE_THRESHOLD = 0.2
+# Largest ``specseq --rmax`` and ``cord --kmax``: each page is one output
+# row per cell class, and the cord presentation grows quadratically in kmax.
+MAX_RMAX = 1000
+MAX_KMAX = 64
 
 
 def _fraction(text: str) -> Fraction:
@@ -72,8 +79,7 @@ def _write_results(args, result=None, header=None, rows=()) -> None:
     """
     outputs = []
     if result is not None and getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
+        jsonio.save(args.json, result)
         outputs.append(args.json)
     if header is not None and getattr(args, "csv", None):
         with open(args.csv, "w", newline="") as fh:
@@ -91,9 +97,8 @@ def _write_results(args, result=None, header=None, rows=()) -> None:
         "wall_time_s": round(time.perf_counter() - args.started, 3),
         "outputs": outputs,
     }
-    path = os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    jsonio.save(os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json"),
+                manifest)
 
 
 def _load_or_build_dga(args) -> free_dga.DGA:
@@ -399,6 +404,9 @@ def main(argv=None) -> int:
         for name in ("m", "rmax"):
             if getattr(args, name, 1) < 1:
                 raise free_dga.ParameterOutOfRange(f"{name} must be at least 1")
+        for name, cap in (("rmax", MAX_RMAX), ("kmax", MAX_KMAX)):
+            if (value := getattr(args, name, 0)) > cap:
+                raise free_dga.ParameterOutOfRange(f"{name} {value} is above the cap of {cap}")
         bounds = getattr(args, "degree_bounds", None)
         if bounds and bounds[0] > bounds[1]:
             raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")

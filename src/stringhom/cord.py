@@ -43,7 +43,6 @@ strictly deeper than everything else in the row); the slices are those of
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
@@ -413,8 +412,7 @@ def presentation_from_json_dict(data: Mapping) -> CordPresentation:
 
 
 def save_presentation(pres: CordPresentation, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(presentation_to_json_dict(pres), fh, indent=1, sort_keys=True)
+    jsonio.save(path, presentation_to_json_dict(pres))
 
 
 def load_presentation(path) -> CordPresentation:

@@ -97,14 +97,15 @@ class RowReducer:
     pivot emerges.  ``reduced_rows`` back-substitutes to full RREF, which is
     the canonical basis of the accumulated row space.
 
-    ``col_key`` orders columns for pivot selection (default: natural index
-    order).  Ranks restricted to a prefix of that order can be read off the
-    pivot positions, which several callers use to slice filtrations.
+    A row's pivot is its smallest column, so a caller sets the pivot order
+    by how it numbers the columns: ``FilteredComplex.barcode`` numbers its
+    cells latest first, and ``free_dga._segment_h0`` its words heaviest
+    first.  Ranks restricted to a prefix of the columns can then be read
+    off the pivot positions.
     """
 
-    def __init__(self, col_key=None):
+    def __init__(self):
         self.pivots: dict = {}  # pivot column -> row dict (leading coeff 1)
-        self.col_key = col_key
 
     def reduce(self, row: Mapping) -> dict:
         """Return the residual of ``row`` after reduction, without inserting."""
@@ -112,9 +113,9 @@ class RowReducer:
 
     def _reduce(self, row: dict) -> tuple[dict, object]:
         """Reduce ``row`` in place; return it and its leading column (None when zero)."""
-        pivots, key = self.pivots, self.col_key
+        pivots = self.pivots
         while row:
-            lead = min(row, key=key)
+            lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 return row, lead
@@ -155,7 +156,7 @@ class RowReducer:
         return not self.reduce(row)
 
     def pivot_columns(self) -> list:
-        return sorted(self.pivots, key=self.col_key)
+        return sorted(self.pivots)
 
     def reduced_rows(self) -> list[dict]:
         """Full RREF rows, sorted by pivot column."""

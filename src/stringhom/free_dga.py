@@ -28,7 +28,6 @@ otherwise.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
@@ -38,7 +37,7 @@ from math import lcm
 
 from . import exactlin, jsonio
 from .exactlin import RowReducer, as_fraction
-from .lengths import IncompatibleRadicals, Surd, parse_length
+from .lengths import IncompatibleRadicals, Surd, below_bound, parse_length
 
 Word = tuple[str, ...]
 UNIT: Word = ()
@@ -160,7 +159,6 @@ class DGA:
         del_part: Mapping[str, AlgebraElement] | None = None,
         f_part: Mapping[str, AlgebraElement] | None = None,
         name: str = "",
-        validate: bool = True,
     ):
         self.generators = list(generators)
         self.by_id = {g.id: g for g in self.generators}
@@ -189,8 +187,7 @@ class DGA:
         self.del_part = dict(del_part) if del_part is not None else None
         self.f_part = dict(f_part) if f_part is not None else None
         self.name = name
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- word invariants ---------------------------------------------------
 
@@ -212,14 +209,12 @@ class DGA:
         """(denominator D, radicand n, id -> (P, Q)): g is (P + Q*sqrt(n)) / D long.
 
         Built once; word lengths are then integer sums, compared exactly by
-        ``_below_bound``.
+        ``below_bound``.  Lengths over two radicands raise ``InvalidDGA``.
         """
-        n = 0
-        for g in self.generators:
-            if g.length.q:
-                if n and g.length.n != n:
-                    raise IncompatibleRadicals(f"sqrt({g.length.n}) vs sqrt({n})")
-                n = g.length.n
+        radicands = {g.length.n for g in self.generators if g.length.q}
+        if len(radicands) > 1:
+            raise InvalidDGA(f"generator lengths mix the radicands {sorted(radicands)}")
+        n = radicands.pop() if radicands else 0
         pq = {g.id: (g.length.p, g.length.q) for g in self.generators}
         denom = lcm(*(x.denominator for xs in pq.values() for x in xs))
         return denom, n, {gid: (p.numerator * (denom // p.denominator),
@@ -240,7 +235,7 @@ class DGA:
             e = self.by_id[terms[0][0]]
             if (e.id not in partner.values() and e.id not in in_products
                     and (scaled[d.id], d.weight) == (scaled[e.id], e.weight)
-                    and all(not _below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
+                    and all(not below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
                             for g in self.generators if (e.id,) in self.diff[g.id].terms)):
                 partner[d.id] = e.id
         if not partner:
@@ -282,9 +277,6 @@ class DGA:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        radicands = {g.length.n for g in self.generators if g.length.q}
-        if len(radicands) > 1:
-            raise InvalidDGA(f"generator lengths mix the radicands {sorted(radicands)}")
         _, n, scaled = self._length_table
         for g in self.generators:
             for w in self.diff[g.id].terms:
@@ -293,8 +285,8 @@ class DGA:
                     raise InvalidDGA(
                         f"diff({g.id}) term {w} has degree {degree} != {g.degree - 1}"
                     )
-                if _below_bound(*scaled[g.id], sum(scaled[x][0] for x in w),
-                                sum(scaled[x][1] for x in w), n):
+                if below_bound(*scaled[g.id], sum(scaled[x][0] for x in w),
+                               sum(scaled[x][1] for x in w), n):
                     raise InvalidDGA(
                         f"diff({g.id}) term {w} is longer than the generator"
                     )
@@ -383,7 +375,7 @@ class LengthWindow:
     """
 
     def __init__(self, bound):
-        self.bound = Surd.of(Fraction(bound) if not isinstance(bound, Surd) else bound)
+        self.bound = Surd.of(bound)
         if self.bound.sign() <= 0:
             raise WindowCollision("window bound must be positive")
 
@@ -432,26 +424,9 @@ def _window_spectrum(dga: DGA, window: LengthWindow):
     return scaled, bound, n, spectrum
 
 
-def _below_bound(p: int, q: int, pa: int, qa: int, n: int) -> bool:
-    """Exact test p + q*sqrt(n) < pa + qa*sqrt(n) for integers."""
-    dp, dq = pa - p, qa - q
-    if dq == 0:
-        return dp > 0
-    if dp == 0:
-        return dq > 0
-    if dp > 0 and dq > 0:
-        return True
-    if dp < 0 and dq < 0:
-        return False
-    lhs, rhs = dp * dp, dq * dq * n
-    if dp > 0:
-        return lhs > rhs
-    return lhs < rhs
-
-
 def _exact_order(n: int):
     """Sort key ordering integer pairs (p, q) by the value p + q*sqrt(n)."""
-    return cmp_to_key(lambda x, y: -1 if _below_bound(*x, *y, n) else int(x != y))
+    return cmp_to_key(lambda x, y: -1 if below_bound(*x, *y, n) else int(x != y))
 
 
 def _spectrum(steps, cap: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -471,7 +446,7 @@ def _spectrum(steps, cap: tuple[int, int], n: int) -> list[tuple[int, int]]:
         for bp, bq in frontier:
             for sp, sq in steps:
                 val = (bp + sp, bq + sq)
-                if not (_below_bound(*val, *cap, n) or val == cap):
+                if not (below_bound(*val, *cap, n) or val == cap):
                     break
                 if val not in seen:
                     seen.add(val)
@@ -510,25 +485,22 @@ def _moves(dga: DGA, window: LengthWindow) -> list[list[tuple[str, int, int]]]:
 
 
 def _enumerate_words(
-    dga: DGA, window: LengthWindow, degree: int | None, max_degree: int | None = None
+    dga: DGA, window: LengthWindow, max_degree: int | None = None
 ) -> list[Word]:
-    """All words below the window bound, optionally filtered to one degree.
+    """All words below the window bound, up to degree ``max_degree`` if given.
 
     Depth-first over appended letters along the ``_moves`` table, pruning by
-    degree above ``degree`` (or above ``max_degree`` when no single degree is
-    asked for) when the grading is nonnegative.  Output is sorted in the
-    canonical monomial order (degree, exact length, letter count, lex).
+    degree above ``max_degree`` when the grading is nonnegative (otherwise
+    the cap is ignored).  Output is sorted in the canonical monomial order
+    (degree, exact length, letter count, lex).
     """
-    cap = degree if degree is not None else max_degree
-    if not dga.nonneg_graded:
-        cap = None
+    cap = max_degree if dga.nonneg_graded else None
     moves = _moves(dga, window)
     out: list[tuple] = []
     stack = [(UNIT, 0, 0)]
     while stack:
         word, deg, r = stack.pop()
-        if degree is None or deg == degree:
-            out.append((deg, r, len(word), word))
+        out.append((deg, r, len(word), word))
         for gid, gdeg, nr in moves[r]:
             ndeg = deg + gdeg
             if cap is None or ndeg <= cap:
@@ -559,13 +531,12 @@ def _diff_rows(dga: DGA, source: Iterable[Word], index: dict[Word, int]):
             yield row
 
 
-def _degree_counts(moves: list, cap: int | None) -> dict[int, int]:
+def _degree_counts(moves: list) -> dict[int, int]:
     """Number of words per degree along the ``_moves`` table, without listing them.
 
     ``counts[r][degree]`` counts the words of length rank r and that degree.
     Every move raises the rank, so one pass in rank order pushes each count
-    forward by each letter.  Degrees above ``cap`` are dropped, which is
-    sound only when no letter has negative degree.
+    forward by each letter.
     """
     counts: list[dict[int, int]] = [{} for _ in moves]
     counts[0][0] = 1
@@ -576,9 +547,7 @@ def _degree_counts(moves: list, cap: int | None) -> dict[int, int]:
         for _, gdeg, nr in row:
             there = counts[nr]
             for deg, c in here.items():
-                ndeg = deg + gdeg
-                if cap is None or ndeg <= cap:
-                    there[ndeg] = there.get(ndeg, 0) + c
+                there[deg + gdeg] = there.get(deg + gdeg, 0) + c
     return dict(sorted(total.items()))
 
 
@@ -607,7 +576,7 @@ def homology_dims_all(
     cap = wanted[-1] if wanted and dga.nonneg_graded else None
     dims = _over_blocks(dga, window, None if cap is None else cap + 1, cap, _segment_homology)
     if wanted is None:
-        wanted = _degree_counts(_moves(dga, window), None)
+        wanted = _degree_counts(_moves(dga, window))
     return {p: dims.get(p, 0) for p in wanted}
 
 
@@ -617,56 +586,29 @@ def _over_blocks(dga: DGA, window: LengthWindow, deg_cap: int | None, cap: int |
 
     The window is validated on ``dga`` first.  ``measure(small_dga, words
     by degree)`` gives a block that D maps into itself a piece {key: dim}.
-    Where the destabilized DGA splits (``DGA._ends`` is not None), the
-    blocks are its segment blocks and ``_convolve`` combines their pieces by
-    ``combine`` from ``unit``; otherwise the whole window is one block and
-    its piece is the answer.  A block holds its words up to degree
-    ``deg_cap``, which only a nonnegative grading may set.
+    A block holds its words up to degree ``deg_cap``, which only a
+    nonnegative grading may set.  Where the destabilized DGA does not split
+    (``DGA._ends`` is None), the whole window is one block and its piece is
+    the answer.  Otherwise the blocks are the segment blocks of
+    ``_segments``, and the answer sums, over the sequences of blocks that
+    fit in the window, the product of their pieces: keys combine along a
+    sequence by ``combine``, from the empty word's ``unit``, and neighbours
+    meet at a breakpoint (end class != start class).  One pass in rank
+    order pushes ``states[rank][last end class]`` forward by each block, to
+    the rank its first word lands on.
     """
     window.ensure_valid(dga)
     dga = destabilize(dga)
     if dga._ends is None:
         degree = {g.id: g.degree for g in dga.generators}.__getitem__
         by_deg: dict[int, list[Word]] = {}
-        for w in _enumerate_words(dga, window, None, deg_cap):
+        for w in _enumerate_words(dga, window, deg_cap):
             by_deg.setdefault(sum(map(degree, w)), []).append(w)
         return {k: v for k, v in measure(dga, by_deg).items() if cap is None or k <= cap}
-    return _convolve(dga, _moves(dga, window), deg_cap, cap, partial(measure, dga),
-                     combine, unit)
-
-
-def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, list[Word]]]:
-    """Composable words along ``moves``, by (start class, end class, length rank), then degree.
-
-    Each letter's end class (``DGA._ends``) is the next one's start class.
-    Degrees above ``cap`` are pruned: sound only with no negative degree.
-    """
-    start, end = dga._ends
-    blocks: dict[tuple, dict[int, list[Word]]] = {}
-    stack = [((gid,), deg, r) for gid, deg, r in moves[0]]
-    while stack:
-        word, deg, r = stack.pop()
-        if cap is None or deg <= cap:
-            tail = end[word[-1]]
-            blocks.setdefault((start[word[0]], tail, r), {}).setdefault(deg, []).append(word)
-            stack += [(word + (g,), deg + d, nr) for g, d, nr in moves[r] if start[g] == tail]
-    return blocks
-
-
-def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measure,
-              combine, unit) -> dict:
-    """Sum, over sequences of segment blocks that fit, of the product of their pieces.
-
-    ``measure(words by degree)`` gives each block of ``_segments(dga, moves,
-    deg_cap)`` a piece {key: dim}; keys combine along a sequence by
-    ``combine``, from the empty word's ``unit``, those above ``cap`` are
-    dropped, and neighbours meet at a breakpoint (end class != start class).
-    One pass in rank order pushes ``states[rank][last end class]`` forward by
-    each block, to the rank its first word lands on.
-    """
+    moves = _moves(dga, window)
     pieces = [(next(iter(by_deg.values()))[0], s, e, piece)
               for (s, e, _), by_deg in _segments(dga, moves, deg_cap).items()
-              if (piece := measure(by_deg))]
+              if (piece := measure(dga, by_deg))]
     step = [{g: nr for g, _, nr in row} for row in moves]
     states: list[dict] = [{} for _ in moves]
     states[0][None] = {unit: 1}
@@ -687,6 +629,24 @@ def _convolve(dga: DGA, moves: list, deg_cap: int | None, cap: int | None, measu
                     if cap is None or k <= cap:
                         there[k] = there.get(k, 0) + c
     return total
+
+
+def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, list[Word]]]:
+    """Composable words along ``moves``, by (start class, end class, length rank), then degree.
+
+    Each letter's end class (``DGA._ends``) is the next one's start class.
+    Degrees above ``cap`` are pruned: sound only with no negative degree.
+    """
+    start, end = dga._ends
+    blocks: dict[tuple, dict[int, list[Word]]] = {}
+    stack = [((gid,), deg, r) for gid, deg, r in moves[0]]
+    while stack:
+        word, deg, r = stack.pop()
+        if cap is None or deg <= cap:
+            tail = end[word[-1]]
+            blocks.setdefault((start[word[0]], tail, r), {}).setdefault(deg, []).append(word)
+            stack += [(word + (g,), deg + d, nr) for g, d, nr in moves[r] if start[g] == tail]
+    return blocks
 
 
 def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
@@ -962,8 +922,7 @@ def dga_from_json_dict(data: Mapping) -> DGA:
 
 
 def save_dga(dga: DGA, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dga_to_json_dict(dga), fh, indent=1, sort_keys=True)
+    jsonio.save(path, dga_to_json_dict(dga))
 
 
 def load_dga(path) -> DGA:

@@ -1,7 +1,8 @@
-"""Strict reading of the JSON input files: typed errors instead of tracebacks.
+"""The JSON files: strict reading with typed errors, and the one writer.
 
 Each loader passes its own error type, so a malformed file of any kind
-maps to that loader's exit code.
+maps to that loader's exit code.  ``save`` writes every JSON file the
+package writes, inputs and results alike, in one layout.
 """
 
 from __future__ import annotations
@@ -35,3 +36,9 @@ def load(path, error: type):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {path} as JSON: {exc}") from exc
+
+
+def save(path, data) -> None:
+    """Write ``data`` to ``path`` as JSON, indented by one space, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)

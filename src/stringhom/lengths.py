@@ -4,7 +4,7 @@ Generator lengths in the built-in algebras are rational except for the
 cross chords of the spaced unlink, whose length is sqrt(z^2 + 4).  Window
 membership (length < a) must be decided exactly, so lengths are kept as
 quadratic surds p + q*sqrt(n) with rational p, q and a square-free integer
-radicand, and compared by exact sign computations.  Values with a common
+radicand, and compared exactly by ``below_bound``.  Values with a common
 radicand form a ring, which covers every word-length sum that occurs here.
 """
 
@@ -22,6 +22,29 @@ MAX_RADICAND = 10**12
 
 class IncompatibleRadicals(ValueError):
     """Sum/comparison of surds over different radicands is not supported."""
+
+
+def below_bound(p, q, pa, qa, n: int) -> bool:
+    """Exact test p + q*sqrt(n) < pa + qa*sqrt(n), for rational parts.
+
+    The one comparison of such values: ``Surd`` compares and signs through
+    it, and ``free_dga`` runs it on integer-scaled lengths.
+    """
+    dp, dq = pa - p, qa - q
+    if dq == 0:
+        return dp > 0
+    if dp == 0:
+        return dq > 0
+    if dp > 0 and dq > 0:
+        return True
+    if dp < 0 and dq < 0:
+        return False
+    # Opposite signs: compare dp^2 with dq^2 n; equality is impossible for
+    # square-free n > 1.
+    lhs, rhs = dp * dp, dq * dq * n
+    if dp > 0:
+        return lhs > rhs
+    return lhs < rhs
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -117,21 +140,10 @@ class Surd:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        p, q, n = self.p, self.q, self.n
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p^2 with q^2 n; equality impossible for
-        # square-free n > 1.
-        lhs, rhs = p * p, q * q * n
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        # The sign of (p + q*sqrt(n)) * p.denominator * q.denominator, in integers.
+        p = self.p.numerator * self.q.denominator
+        q = self.q.numerator * self.p.denominator
+        return below_bound(0, 0, p, q, self.n) - below_bound(p, q, 0, 0, self.n)
 
     def __eq__(self, other) -> bool:
         try:
@@ -146,16 +158,17 @@ class Surd:
         return hash((self.p, self.q, self.n))
 
     def __lt__(self, other):
-        return (self - Surd.of(other)).sign() < 0
+        other = Surd.of(other)
+        return below_bound(self.p, self.q, other.p, other.q, self._compatible(other))
 
     def __le__(self, other):
-        return (self - Surd.of(other)).sign() <= 0
+        return not Surd.of(other) < self
 
     def __gt__(self, other):
-        return (self - Surd.of(other)).sign() > 0
+        return Surd.of(other) < self
 
     def __ge__(self, other):
-        return (self - Surd.of(other)).sign() >= 0
+        return not self < other
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -182,11 +195,7 @@ _SURD_RE = re.compile(
 
 
 def parse_length(text) -> Surd:
-    """Parse 'p', 'p/q', 'sqrt(n)', 'q*sqrt(n)' or 'p+q*sqrt(n)'."""
-    if isinstance(text, Surd):
-        return text
-    if isinstance(text, (int, Fraction)):
-        return Surd(text)
+    """Parse 'p', 'p/q', 'sqrt(n)', 'q*sqrt(n)' or 'p+q*sqrt(n)'; an int reads as 'p'."""
     m = _SURD_RE.match(str(text))
     if not m or (m.group("p") is None and m.group("n") is None):
         raise ValueError(f"cannot parse length value {text!r}")

@@ -29,7 +29,6 @@ homology computed without persistence.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, namedtuple
 from collections.abc import Mapping
@@ -95,20 +94,24 @@ class FilteredComplex:
 
         The standard persistence algorithm: cells are ordered by
         (filtration, index) and each boundary column is added in that order
-        to a single ``RowReducer`` whose leading entry is the latest cell in
-        the order.  A column that leaves a new pivot pairs its cell with the
-        pivot cell, and both carry the pair's filtration gap; a cell in no
-        pair carries the homology, and the gap ``math.inf``.
+        to a single ``RowReducer``.  Its rows are numbered latest cell first,
+        so the pivot of a column is its latest cell in the order.  A column
+        that leaves a new pivot pairs its cell with the pivot cell, and both
+        carry the pair's filtration gap; a cell in no pair carries the
+        homology, and the gap ``math.inf``.
         """
         cells = self.cells
         order = sorted(range(len(cells)), key=lambda i: (cells[i].filtration, i))
-        pos = {i: k for k, i in enumerate(order)}
-        red = RowReducer(col_key=lambda i: -pos[i])
-        cols = self.boundary.col_dicts()
+        latest_first = order[::-1]
+        number = {i: k for k, i in enumerate(latest_first)}
+        cols: list[dict] = [{} for _ in cells]
+        for (i, j), v in self.boundary.entries.items():
+            cols[j][number[i]] = v
+        red = RowReducer()
         gaps = dict.fromkeys(order, math.inf)
         for j in order:
-            if cols[j] and red.add(cols[j]):
-                i = next(reversed(red.pivots))
+            if cols[j] and red.add(cols[j], owned=True):
+                i = latest_first[next(reversed(red.pivots))]
                 gaps[i] = gaps[j] = cells[j].filtration - cells[i].filtration
         return Counter((cells[k].filtration, cells[k].degree, g) for k, g in gaps.items())
 
@@ -205,7 +208,7 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
     differential (which never lowers weight) never raises the level.
     """
     window.ensure_valid(dga)
-    return _complex(dga, free_dga._enumerate_words(dga, window, None))
+    return _complex(dga, free_dga._enumerate_words(dga, window))
 
 
 def _complex(dga: free_dga.DGA, words: list) -> FilteredComplex:
@@ -288,8 +291,7 @@ def complex_from_json_dict(data: Mapping) -> FilteredComplex:
 
 
 def save_complex(fc: FilteredComplex, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(complex_to_json_dict(fc), fh, indent=1, sort_keys=True)
+    jsonio.save(path, complex_to_json_dict(fc))
 
 
 def load_complex(path) -> FilteredComplex:

@@ -71,15 +71,14 @@ def blockwise_dims(dga: DGA, moves: list, wanted: list[int]) -> dict[int, int]:
 
     No word list is built.  The basis size of each degree is counted by one
     dynamic program over the ``_moves`` table, ``counts[rank][degree]``
-    pushed forward by each letter (capped at the largest requested degree
-    + 1 when the grading is nonnegative).  Rows of D come only from words
+    pushed forward by each letter.  Rows of D come only from words
     with a live letter (D != 0) in a degree that sources a needed block,
     found in one walk; each block numbers its columns on first sight.  The
     block from degree p to p - 1 serves both H_p and H_(p-1), and
     ``exactlin.homology_dims`` ranks the blocks from the top down with
     clearing.
     """
-    sizes = _degree_counts(moves, wanted[-1] + 1 if dga.nonneg_graded else None)
+    sizes = _degree_counts(moves)
     # The block of degree p is D from degree p to degree p - 1.
     sources = _live_words(
         dga, moves,

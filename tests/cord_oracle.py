@@ -67,12 +67,13 @@ def padded_quotient_dims(pres: CordPresentation, wmax: int) -> list[int]:
                     continue
                 padded.append({u + w + v: c for w, c in row.items()})
 
-    # Echelon with longer words first, so each pivot is its row's longest word.
-    red = RowReducer(col_key=lambda w: (-len(w), w))
+    # Echelon with longer words first, so each pivot is its row's longest
+    # word: a column is keyed (-letters, word), and the smallest key leads.
+    red = RowReducer()
     for row in padded:
-        red.add(row)
+        red.add({(-len(w), w): c for w, c in row.items()})
     asize = len(alphabet)
-    return quotient_slice_dims([asize**k for k in range(width)], (len(w) for w in red.pivots))
+    return quotient_slice_dims([asize**k for k in range(width)], (-k for k, _ in red.pivots))
 
 
 class _HopfClass:

@@ -51,7 +51,8 @@ def word_basis(dga: DGA, degree: int, window: LengthWindow) -> list:
     if degree < 0 and dga.nonneg_graded:
         return []
     # Through the module, so that a patched ``_enumerate_words`` is the one called.
-    return free_dga._enumerate_words(dga, window, degree)
+    return [w for w in free_dga._enumerate_words(dga, window, degree)
+            if dga.word_degree(w) == degree]
 
 
 def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
@@ -63,7 +64,7 @@ def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
     window.ensure_valid(dga)
     light = {g.id for g in dga.generators if g.weight == 1}
     moves = [[m for m in row if m[0] in light] for row in _moves(dga, window)]
-    return _degree_counts(moves, None)
+    return _degree_counts(moves)
 
 
 def word_length(dga: DGA, word) -> Surd:
@@ -179,7 +180,7 @@ def homology_dims_all(dga: DGA, window: LengthWindow, degrees=None) -> dict[int,
     by_degree: dict[int, list] = {}
     degree_of = {g.id: g.degree for g in dga.generators}
     # Enumeration is already canonically ordered; bucketing preserves it.
-    for w in _enumerate_words(dga, window, None, wanted[-1] + 1 if wanted else None):
+    for w in _enumerate_words(dga, window, wanted[-1] + 1 if wanted else None):
         by_degree.setdefault(sum(map(degree_of.__getitem__, w)), []).append(w)
     if wanted is None:
         wanted = sorted(by_degree)
@@ -220,7 +221,7 @@ def word_key(dga: DGA, word):
 def filtered_complex(dga: DGA, window: LengthWindow) -> FilteredComplex:
     """Weight-filtration complex: cell degree and weight from ``DGA.gen`` per letter."""
     window.ensure_valid(dga)
-    words = _enumerate_words(dga, window, None)
+    words = _enumerate_words(dga, window)
     index = {w: i for i, w in enumerate(words)}
     cells = [
         Cell("*".join(w) if w else "1", dga.word_degree(w), -word_weight(dga, w))

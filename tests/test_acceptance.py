@@ -170,7 +170,7 @@ def test_criterion_06_spectral_sequence():
         stripped = free_dga.forget_F(dga)
         fc2 = specseq.from_dga(stripped, window)
         e2 = specseq.page(fc2.barcode(), 2)
-        words = free_dga._enumerate_words(dga, window, None)
+        words = free_dga._enumerate_words(dga, window)
         chord_counts: dict = {}
         for w in words:
             if all(dga.gen(g).weight == 1 for g in w):

@@ -19,6 +19,7 @@ from chord_oracle import (
     refine,
     straight_path,
 )
+from stringhom import chords
 from stringhom.chords import (
     _count_distinct,
     ChordConfig,
@@ -423,6 +424,12 @@ def _count_distinct_loop(keys, tol):
     return len(reps)
 
 
+def _count_per_length(keys, tol):
+    """``_count_distinct`` of each key length's rows, in order, summed."""
+    return sum(_count_distinct(np.array([k for k in keys if len(k) == n]), tol)
+               for n in dict.fromkeys(map(len, keys)))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_count_distinct_matches_pairwise_loop(seed):
     rng = np.random.default_rng(seed)
@@ -436,16 +443,34 @@ def test_count_distinct_matches_pairwise_loop(seed):
         centres[k] + rng.uniform(-0.6, 0.6, size=len(centres[k])) * tol
         for k in rng.integers(0, len(centres), size=4 * len(centres))
     ]
-    count = _count_distinct(keys, tol)
+    count = _count_per_length(keys, tol)
     assert count == _count_distinct_loop(keys, tol)
     assert 1 < count < len(keys)
 
 
-def test_count_distinct_never_matches_across_key_lengths():
-    keys = [np.zeros(4), np.zeros(5), np.zeros(4), np.zeros(5) + 1.0]
-    assert _count_distinct(keys, 1e-3) == 3
+def test_count_distinct_never_matches_across_key_lengths(monkeypatch):
+    # A 2-sphere and a circle in R^5, far apart: the diameters of both have
+    # length 2, so one length group holds keys of 6 and of 4 coordinates,
+    # and find_spectrum counts each key length apart.
+    sphere = Component(np.eye(5, 3), np.zeros(5), "S2")
+    circle = Component(np.eye(5, 2), 10.0 * np.eye(5)[4], "S1")
+    cfg = ChordConfig(length_bound=3.0, seeds_per_circle=10, seeds_per_sphere=14)
+    widths = []
+
+    def recording(keys, tol):
+        widths.append(keys.shape[1])
+        return _count_distinct(keys, tol)
+
+    alone = [find_spectrum(ParamSubmanifold([c]), cfg) for c in (sphere, circle)]
+    monkeypatch.setattr(chords, "_count_distinct", recording)
+    both = find_spectrum(ParamSubmanifold([sphere, circle]), cfg)
+    assert [len(r) for r in alone] == [1, 1] and len(both) == 1
+    assert both[0].length == pytest.approx(2.0)
+    # Each key length is counted on its own, without the zero padding.
+    assert sorted(widths) == [4, 6]
+    assert both[0].multiplicity == alone[0][0].multiplicity + alone[1][0].multiplicity
 
 
 def test_count_distinct_beyond_one_block():
-    keys = [np.full(4, float(k)) for k in range(200)]
-    assert _count_distinct(keys + [k + 1e-4 for k in keys], 1e-3) == 200
+    keys = np.array([np.full(4, float(k)) for k in range(200)])
+    assert _count_distinct(np.concatenate([keys, keys + 1e-4]), 1e-3) == 200

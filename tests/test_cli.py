@@ -7,6 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import cord_oracle
+import dga_oracle
 import pytest
 
 import stringhom
@@ -164,6 +166,31 @@ class TestCord:
         assert code == 0 and "MATCH" in out
         # kmax for the printed slices, truncation check and comparison; kmax + 2 once.
         assert len(seen) == 2
+
+    @pytest.mark.parametrize(
+        "name,build,a",
+        [("hopf_link", lambda: free_dga.build_hopf(2), Fraction(13, 2)),
+         ("unlink2", lambda: free_dga.build_unlink(2, 3), Fraction(41, 2))],
+        ids=["hopf_link", "unlink2"],
+    )
+    def test_compare_rows_match_independent_routes(self, name, build, a, tmp_path, capsys):
+        # Both columns of the comparison run free_dga.h0_dims_by_wordcount, so
+        # MATCH checks the presentation against the Legendrian DGA, not one
+        # engine against another.  Each column is checked here by a route that
+        # shares no DGA, window or segment code: the cord slices by the padded
+        # echelon, the H_0 slices (the CLI's DGA and window) by enumerated bases.
+        path = tmp_path / "cmp.json"
+        code, _, _ = run(["cord", "--builtin", name, "--wmax", "4", "--compare",
+                          "--json", str(path), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        rows = json.loads(path.read_text())["comparison"]
+        want_cord = cord_oracle.padded_quotient_dims(cord.builtin_presentation(name, 2), 4)
+        dga, window = build(), free_dga.LengthWindow(a)
+        bases = [dga_oracle.words_of_degree(dga, window, p) for p in (0, 1)]
+        want_h0 = dga_oracle.h0_dims_by_wordcount(dga, *bases, 4)
+        assert [r["cord_dim"] for r in rows] == want_cord
+        assert [r["h0_dim"] for r in rows] == want_h0
+        assert [r["w"] for r in rows] == list(range(5))
 
 
 class TestChords:
@@ -561,6 +588,45 @@ class TestErrorExits:
                              6, tmp_path, capsys)
             assert "rmax must be at least 1" in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv,name,cap,work",
+        [(["specseq", "--builtin", "hopf", "--a", "3.5"], "rmax", cli.MAX_RMAX,
+          (specseq, "dga_barcode")),
+         (["cord", "--builtin", "unlink2"], "kmax", cli.MAX_KMAX,
+          (cord, "builtin_presentation"))],
+        ids=["specseq_rmax", "cord_kmax"],
+    )
+    def test_cap_plus_one_exit_6_before_work(self, argv, name, cap, work, tmp_path, capsys,
+                                             monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        monkeypatch.setattr(*work, no_work)
+        err = self.check(argv + [f"--{name}", str(cap + 1)], 6, tmp_path, capsys)
+        assert f"{name} {cap + 1} is above the cap of {cap}" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("where", ["json", "csv", "manifest", "outdir"])
+    def test_unwritable_output_exit_2(self, where, tmp_path, capsys):
+        # A path under a regular file cannot be created, and neither can a
+        # manifest where a directory of its name stands or an --outdir that
+        # names a file.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = tmp_path / "out"
+        (outdir / "manifest_dga_homology.json").mkdir(parents=True)
+        argv = ["dga-homology", "--builtin", "hopf", "--a", "3.5", "--degree", "0",
+                "--outdir", str(blocker if where == "outdir" else tmp_path)]
+        if where == "manifest":
+            argv[-1] = str(outdir)
+        elif where != "outdir":
+            argv += [f"--{where}", str(blocker / f"x.{where}")]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out.startswith("H_0 (a=7/2) dim = ")
+        assert err.startswith("error: cannot write output: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_weight_lowering_spec_specseq_exit_6(self, tmp_path, capsys):
         spec = tmp_path / "lowering.json"

@@ -47,7 +47,9 @@ def slice_dims_full_alphabet(pres: CordPresentation, wmax: int) -> list[int]:
             out.extend(frontier)
         return out
 
-    red = RowReducer(col_key=lambda w: (-len(w), w))
+    # Columns keyed (-letters, word): the smallest key, each row's pivot, is
+    # its longest word.
+    red = RowReducer()
     for row in rows:
         row_len = max(len(w) for w in row)
         budget = width - row_len
@@ -56,8 +58,9 @@ def slice_dims_full_alphabet(pres: CordPresentation, wmax: int) -> list[int]:
             for v in pads:
                 if len(u) + len(v) > budget:
                     continue
-                red.add({u + w + v: c for w, c in row.items()})
-    pivot_lengths = [len(w) for w in red.pivots]
+                padded = {u + w + v: c for w, c in row.items()}
+                red.add({(-len(x), x): c for x, c in padded.items()})
+    pivot_lengths = [-k for k, _ in red.pivots]
     total = red.rank
     asize = len(alphabet)
     dims = []

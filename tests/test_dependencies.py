@@ -10,7 +10,9 @@ neither of them nor ``inspect``.
 Every top-level function or class and every non-dunder method defined
 there must also be named somewhere under ``src/`` outside its own
 definition, a method through an attribute access ``x.name``, or be listed
-in ``UNUSED_IN_SRC`` with the reason it stays.
+in ``UNUSED_IN_SRC`` with the reason it stays.  Every parameter that a
+call under ``src/`` gives must take two values there, or be listed in
+``ONE_VALUE_IN_SRC``: a parameter only tests set is a constant.
 """
 
 import ast
@@ -146,3 +148,100 @@ def test_every_definition_is_used_or_listed():
     assert not dead, dead
     defined = {f"{m}.{n}" for m, t in trees.items() for n, _ in _definitions(t)}
     assert set(UNUSED_IN_SRC) <= defined
+
+
+# Parameters of functions under src/stringhom that every call under src/
+# leaves at one value, with the reason each stays.
+ONE_VALUE_IN_SRC = {
+    "cli.main.argv": "the perfbench client and the tests pass the command line",
+}
+
+
+def _functions(tree: ast.Module, module: str):
+    """(qualified name, def, leading parameters a call does not pass) of every def.
+
+    Nested defs count.  Methods drop ``self`` or ``cls``; a class is called
+    through its ``__init__`` or ``__new__``.
+    """
+    def walk(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                yield f"{prefix}{node.name}", node, int(in_class and not static)
+                yield from walk(node.body, f"{prefix}{node.name}.", False)
+
+    yield from walk(tree.body, f"{module}.", False)
+
+
+def _call_name(call: ast.Call):
+    """(callee name, positional arguments) of ``call``; ``partial(f, ...)`` calls f."""
+    func, args = call.func, call.args
+    if isinstance(func, ast.Name) and func.id == "partial" and args:
+        func, args = args[0], args[1:]
+    if isinstance(func, ast.Name):
+        return func.id, args
+    if isinstance(func, ast.Attribute) and not func.attr.startswith("__"):
+        return func.attr, args
+    return None, args
+
+
+def _parameter_values(trees: dict) -> dict[str, set]:
+    """Per parameter with a call under src/, the values those calls give it.
+
+    A call is matched to every def of its name (a class by its name).  A
+    value is the ``ast.dump`` of a literal argument, or of the default
+    where the argument is left out; any other argument, or a call with
+    ``*args`` or ``**kwargs``, may vary and adds ``None``.
+    """
+    defs: dict[str, list] = {}
+    for module, tree in trees.items():
+        for qualified, node, skip in _functions(tree, module):
+            parts = qualified.split(".")
+            name = parts[-2] if parts[-1] in ("__init__", "__new__") else parts[-1]
+            defs.setdefault(name, []).append((qualified, node, skip))
+    values: dict[str, set] = {}
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name, args = _call_name(call)
+            for qualified, node, skip in defs.get(name, ()):
+                a = node.args
+                positional = (a.posonlyargs + a.args)[skip:]
+                given = {p.arg: v for p, v in zip(positional, args)}
+                given.update((k.arg, k.value) for k in call.keywords if k.arg)
+                defaults = dict(zip([p.arg for p in a.posonlyargs + a.args][::-1],
+                                    a.defaults[::-1]))
+                defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+                starred = any(isinstance(v, ast.Starred) for v in args) or any(
+                    k.arg is None for k in call.keywords)
+                for p in positional + a.kwonlyargs:
+                    if starred:
+                        value = None
+                    elif p.arg in given:
+                        value = given[p.arg] if _is_literal(given[p.arg]) else None
+                    else:
+                        value = defaults.get(p.arg)
+                    values.setdefault(f"{qualified}.{p.arg}", set()).add(
+                        value if value is None else ast.dump(value))
+    return values
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_parameter_takes_two_values_in_src():
+    # A parameter that every call under src/ leaves at its default, or sets
+    # to one and the same literal, is set to anything else only by tests:
+    # with one value in use, that value is a constant of the function.
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    fixed = {param for param, seen in _parameter_values(trees).items()
+             if len(seen) == 1 and None not in seen}
+    assert fixed <= set(ONE_VALUE_IN_SRC), sorted(fixed - set(ONE_VALUE_IN_SRC))
+    assert set(ONE_VALUE_IN_SRC) <= fixed, "a listed parameter takes two values; unlist it"

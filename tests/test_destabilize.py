@@ -40,13 +40,18 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _spec(gens, diff, validate=True) -> DGA:
-    """DGA from ``(id, degree, length, weight)`` rows and ``{id: {word: coeff}}``."""
-    return DGA(
-        [Generator(gid, deg, Surd.of(Fraction(ell)), w) for gid, deg, ell, w in gens],
-        {gid: AlgebraElement({tuple(w.split()): c for w, c in img.items()})
-         for gid, img in diff.items()},
-        validate=validate,
-    )
+    """DGA from ``(id, degree, length, weight)`` rows and ``{id: {word: coeff}}``.
+
+    ``validate=False`` builds it with ``DGA.validate`` patched out.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        if not validate:
+            m.setattr(DGA, "validate", lambda self: None)
+        return DGA(
+            [Generator(gid, deg, Surd.of(Fraction(ell)), w) for gid, deg, ell, w in gens],
+            {gid: AlgebraElement({tuple(w.split()): c for w, c in img.items()})
+             for gid, img in diff.items()},
+        )
 
 
 def _ids(dga: DGA) -> list[str]:

@@ -81,6 +81,8 @@ def test_rational_vs_surd_comparison():
         ("3/2*sqrt(5)", Surd(0, Fraction(3, 2), 5)),
         ("1+2*sqrt(3)", Surd(1, 2, 3)),
         ("1/2-sqrt(2)", Surd(Fraction(1, 2), -1, 2)),
+        (2, Surd(2)),
+        (-3, Surd(-3)),
     ],
 )
 def test_parse_roundtrip(text, value):

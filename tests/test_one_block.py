@@ -84,7 +84,7 @@ def test_one_block_matches_oracle(seed):
 @settings(max_examples=30, deadline=None)
 def test_one_block_matches_blockwise(seed, unit):
     dga, window = _one_block_spec(seed, unit), _planted_window(seed)
-    small, wanted = destabilize(dga), sorted(_degree_counts(_moves(dga, window), None))
+    small, wanted = destabilize(dga), sorted(_degree_counts(_moves(dga, window)))
     moves = _moves(small, window)
     assert homology_dims_all(dga, window) == blockwise_dims(small, moves, wanted)
     if dga.nonneg_graded:

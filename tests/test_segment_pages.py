@@ -71,7 +71,7 @@ def _complex_pages(dga, window, rs):
 
 def _window_euler(dga, window) -> int:
     """Alternating sum of the window's word counts by degree."""
-    return sum((-1) ** (n & 1) * c for n, c in _degree_counts(_moves(dga, window), None).items())
+    return sum((-1) ** (n & 1) * c for n, c in _degree_counts(_moves(dga, window)).items())
 
 
 def _page_euler(dims: dict[tuple[int, int], int]) -> int:

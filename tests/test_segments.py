@@ -50,7 +50,7 @@ def _relabelled(dga, seed: int):
 
 
 def _populated(dga, window) -> dict[int, int]:
-    return _degree_counts(_moves(dga, window), None)
+    return _degree_counts(_moves(dga, window))
 
 
 def _blockwise(dga, window, wmax=4):

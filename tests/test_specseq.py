@@ -212,7 +212,8 @@ class TestPages:
             count = sum(
                 1
                 for w in free_dga._enumerate_words(dga, window, 0)
-                if len(w) == m and all(dga.gen(g).weight == 1 for g in w)
+                if len(w) == m and dga.word_degree(w) == 0
+                and all(dga.gen(g).weight == 1 for g in w)
             )
             assert e1.dim(-m, m) == count
 
