@@ -402,6 +402,16 @@ def _count_distinct(keys: np.ndarray, tol: float) -> int:
     return count
 
 
+def _median_of_sorted(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of sorted values, bit for bit.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, which costs more
+    than a whole short search.
+    """
+    half = len(values) // 2
+    return float(values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2)
+
+
 def _has_near(x: list, cells: dict, rows: range, cols: range, tol: float) -> bool:
     """Whether a representative in the given cells lies within ``tol`` of x."""
     for r in rows:
@@ -493,7 +503,7 @@ def find_spectrum(
                 comp_target=target,
                 u0=keys[lo, : dims[source]].copy(),
                 u1=keys[lo, dims[source] : dims[source] + dims[target]].copy(),
-                length=float(np.median(lens[lo:hi])),
+                length=_median_of_sorted(lens[lo:hi]),
                 residual=float(np.max(resnorms[lo:hi])),
                 multiplicity=sum(_count_distinct(group[sizes == n, :n], DEDUP_PT_TOL)
                                  for n in dict.fromkeys(sizes.tolist())),

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 One executable with five subcommands: dga-homology, distinguish, chords,
-cord, specseq.  Results print as plain tables; each subcommand takes only
-the ``--json``/``--csv`` flags it writes, and every run drops a manifest
-(command, parameters, versions, wall time, output paths) into the output
-directory.  Exit codes: 0 ok, 2 invalid length window, usage error or an
+cord, specseq.  Their options come from one table, ``COMMANDS``, which
+``_parse`` reads each command line against.  Results print as plain tables;
+each subcommand takes only the ``--json``/``--csv`` flags it writes, and
+every run drops a manifest (command, parameters, versions, wall time, output
+paths) into the output directory.  Output paths are checked before the work.
+Exit codes: 0 ok, 2 invalid length window, usage error or an
 output that cannot be written, 3 malformed DGA input, 4 chord search
 failure rate over the threshold, 5 cord truncation instability, 6
 parameter out of range or not applicable to the input, 7 a failed
@@ -15,13 +17,13 @@ Each error exit prints one ``error:`` line on stderr; the mapping is the
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
 from . import __version__, cord, free_dga, jsonio, specseq
 
@@ -60,15 +62,78 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+        raise ValueError(f"{text!r} has a zero denominator") from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational number") from None
+        raise ValueError(f"{text!r} is not an exact rational number") from None
+
+
+# The options of the five subcommands, each stated once.  A row is (flag,
+# type, default, help): the type converts the value text, a tuple of names is
+# a choice among them and ``bool`` a switch that takes no value.  A fifth
+# field, "append" or 2, makes a flag repeatable or take two values; a sixth
+# names the namespace attribute when the flag does not.
+D = ("--d", int, 2, "spheres of dimension d-1 in R^(2d-1)")
+Z2STAR = ("--z2star", _fraction, Fraction(3), "spacing z > 2 of the unlink")
+A = ("--a", _fraction, None, "length window bound")
+DGA_BUILTIN = ("--builtin", ("hopf", "unlink"), None, "built-in DGA")
+SPEC = ("--spec", str, None, "DGA JSON file")
+WMAX = ("--wmax", int, 4, "largest word count of the slices")
+OUTDIR = ("--outdir", str, None, "manifest/output directory")
+JSON = ("--json", str, None, "write JSON result here")
+CSV = ("--csv", str, None, "write CSV result here")
+# Subcommand: (help, required, options).  Required is a flag that must be
+# given, or two flags of which exactly one must be.
+COMMANDS = {
+    "dga-homology": ("homology dims of a built-in or JSON DGA", (), (
+        DGA_BUILTIN, SPEC, D, Z2STAR, A,
+        ("--degree", int, None, "degree to compute; repeatable", "append"),
+        ("--degree-range", int, None, "degrees LO to HI", 2, "degree_bounds"),
+        ("--h0", bool, False, "also degree-0 word-count slices"), WMAX, OUTDIR, JSON, CSV)),
+    "distinguish": ("linked vs spaced pair discriminator", ("--d",),
+                    (D, Z2STAR, WMAX, OUTDIR, JSON)),
+    "chords": ("binormal chord spectrum search", ("--builtin",), (
+        ("--builtin", ("hopf", "unlink", "single"), None, "built-in link"), D,
+        ("--z2star", float, None, "spacing z > 2 of the unlink"),
+        ("--a", float, None, "length bound"), ("--m", int, 1, "also report m-fold sums"),
+        ("--circle-seeds", int, 24, "seeds per circle"),
+        ("--sphere-seeds", int, 36, "seeds per sphere"), OUTDIR, JSON, CSV)),
+    "cord": ("cord algebra slice dimensions", ("--builtin", "--presentation"), (
+        ("--builtin", ("unknot", "hopf_link", "unlink2"), None, "built-in presentation"),
+        ("--presentation", str, None, "cord presentation JSON file"), WMAX,
+        ("--kmax", int, 2, "truncation of the built-in presentation"),
+        ("--compare", bool, False, "compare with DGA H_0"), OUTDIR, JSON, CSV)),
+    "specseq": ("weight-filtration spectral sequence pages", (), (
+        DGA_BUILTIN, SPEC, ("--complex", str, None,
+                                 "filtered complex JSON file, instead of a DGA"),
+        D, Z2STAR, A, ("--rmax", int, 3, "last page before E-oo"),
+        ("--forget-f", bool, False, "stabilization part only"), OUTDIR, CSV)),
+}
+HELP = ("-h", "--help")
 
 
 def _outdir(args) -> str:
-    out = args.outdir or os.environ.get("STRINGHOM_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.abspath(args.outdir or os.environ.get("STRINGHOM_OUTDIR") or ".")
+
+
+def _manifest(args) -> str:
+    return os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json")
+
+
+def _check_outputs(args) -> None:
+    """Raise, before any work, the ``OSError`` that writing an output would raise.
+
+    Creates nothing: ``--outdir`` is made after the work, so if it is
+    missing, its nearest existing ancestor has to be a directory.
+    """
+    out = ancestor = _outdir(args)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    files = [getattr(args, "json", None), getattr(args, "csv", None)]
+    for path in [p for p in files if p] + [_manifest(args)]:
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(ancestor if folder == out else folder):
+            raise OSError(f"{path} is a directory" if os.path.isdir(path)
+                          else f"{path} is not in a directory")
 
 
 def _write_results(args, result=None, header=None, rows=()) -> None:
@@ -77,6 +142,7 @@ def _write_results(args, result=None, header=None, rows=()) -> None:
     Each file is written only if its flag is given; a run that stops early
     passes neither ``result`` nor ``header`` and leaves just the manifest.
     """
+    os.makedirs(_outdir(args), exist_ok=True)
     outputs = []
     if result is not None and getattr(args, "json", None):
         jsonio.save(args.json, result)
@@ -97,8 +163,7 @@ def _write_results(args, result=None, header=None, rows=()) -> None:
         "wall_time_s": round(time.perf_counter() - args.started, 3),
         "outputs": outputs,
     }
-    jsonio.save(os.path.join(_outdir(args), f"manifest_{args.command.replace('-', '_')}.json"),
-                manifest)
+    jsonio.save(_manifest(args), manifest)
 
 
 def _load_or_build_dga(args) -> free_dga.DGA:
@@ -319,85 +384,103 @@ def _params(args) -> dict:
     }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stringhom",
-        description="Homology of length-filtered link algebras, chord spectra, "
-        "spectral sequences and cord algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_flag(token: str) -> bool:
+    """An option name, not a value: a negative number such as -1 or -3/2 is a value."""
+    return token.startswith("-") and token[1:2] not in "0123456789."
 
-    def common(p, *formats):
-        p.add_argument("--outdir", default=None, help="manifest/output directory")
-        for fmt in formats:
-            p.add_argument(f"--{fmt}", default=None, help=f"write {fmt.upper()} result here")
 
-    p = sub.add_parser("dga-homology", help="homology dims of a built-in or JSON DGA")
-    p.add_argument("--builtin", choices=["hopf", "unlink"])
-    p.add_argument("--spec", help="DGA JSON file")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--z2star", type=_fraction, default=Fraction(3))
-    p.add_argument("--a", type=_fraction, default=None, help="length window bound")
-    p.add_argument("--degree", type=int, action="append", help="degree to compute")
-    p.add_argument("--degree-range", type=int, nargs=2, metavar=("LO", "HI"),
-                   dest="degree_bounds")
-    p.add_argument("--h0", action="store_true", help="also degree-0 word-count slices")
-    p.add_argument("--wmax", type=int, default=4)
-    common(p, "json", "csv")
+def _usage(command) -> str:
+    what = f"{command} [-h] [options]" if command else f"[-h] {{{','.join(COMMANDS)}}} ..."
+    return f"usage: stringhom {what}"
 
-    p = sub.add_parser("distinguish", help="linked vs spaced pair discriminator")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--z2star", type=_fraction, default=Fraction(3))
-    p.add_argument("--wmax", type=int, default=4)
-    common(p, "json")
 
-    p = sub.add_parser("chords", help="binormal chord spectrum search")
-    p.add_argument("--builtin", choices=["hopf", "unlink", "single"], required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--z2star", type=float, default=None)
-    p.add_argument("--a", type=float, default=None, help="length bound")
-    p.add_argument("--m", type=int, default=1, help="also report m-fold sums")
-    p.add_argument("--circle-seeds", type=int, default=24)
-    p.add_argument("--sphere-seeds", type=int, default=36)
-    common(p, "json", "csv")
+def _fail(command, message: str):
+    """Print the usage and one ``error:`` line on stderr, as argparse did, and exit 2."""
+    prog = "stringhom" if command is None else f"stringhom {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("cord", help="cord algebra slice dimensions")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=["unknot", "hopf_link", "unlink2"])
-    source.add_argument("--presentation", help="cord presentation JSON file")
-    p.add_argument("--wmax", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--compare", action="store_true", help="compare with DGA H_0")
-    common(p, "json", "csv")
 
-    p = sub.add_parser("specseq", help="weight-filtration spectral sequence pages")
-    p.add_argument("--builtin", choices=["hopf", "unlink"])
-    p.add_argument("--spec", help="DGA JSON file")
-    p.add_argument("--complex", help="filtered complex JSON file, instead of a DGA")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--z2star", type=_fraction, default=Fraction(3))
-    p.add_argument("--a", type=_fraction, default=None)
-    p.add_argument("--rmax", type=int, default=3)
-    p.add_argument("--forget-f", action="store_true", help="stabilization part only")
-    common(p, "csv")
+def _help(command):
+    """Print the subcommands, or one subcommand's options, with their help; exit 0."""
+    print(_usage(command))
+    rows = COMMANDS[command][2] if command else [(k, str, 0, v[0]) for k, v in COMMANDS.items()]
+    for flag, kind, _, text, *_ in rows:
+        choices = f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else ""
+        print(f"  {flag:<15} {text}{choices}")
+    raise SystemExit(0)
 
-    return parser
+
+def _parse(argv) -> SimpleNamespace:
+    """The namespace of one command line, read against ``COMMANDS``.
+
+    Takes ``--flag value`` and ``--flag=value``, full flag names only; the
+    last value given wins.  A usage error exits 2 through ``_fail``.
+    """
+    k = next((k for k, t in enumerate(argv) if not _is_flag(t) or t in HELP), len(argv))
+    if k == len(argv):
+        _fail(None, "the following arguments are required: command")
+    extras, command, tokens = list(argv[:k]), argv[k], iter(argv[k + 1:])
+    if command in HELP:
+        _help(None)
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from "
+              f"{', '.join(map(repr, COMMANDS))})")
+    _, required, rows = COMMANDS[command]
+    rows, given = {row[0]: row for row in rows}, {}
+    for token in tokens:
+        if token in HELP:
+            _help(command)
+        flag, eq, text = token.partition("=")
+        if not _is_flag(token) or flag not in rows:
+            extras.append(token)
+            continue
+        kind, how = rows[flag][1], rows[flag][4] if len(rows[flag]) > 4 else None
+        if kind is bool and eq:
+            _fail(command, f"argument {flag}: ignored explicit argument {text!r}")
+        n = 0 if kind is bool else 2 if how == 2 else 1
+        texts = [text] if eq else list(islice(tokens, n))
+        if len(texts) < n or not eq and any(map(_is_flag, texts)):
+            _fail(command, f"argument {flag}: expected "
+                  + ("one argument" if n == 1 else "2 arguments"))
+        values = [True] if kind is bool else []
+        for text in texts:
+            if isinstance(kind, tuple) and text not in kind:
+                _fail(command, f"argument {flag}: invalid choice: {text!r} "
+                      f"(choose from {', '.join(map(repr, kind))})")
+            try:
+                values.append(text if isinstance(kind, tuple) else kind(text))
+            except ValueError as exc:
+                _fail(command, f"argument {flag}: " + (
+                    str(exc) if kind is _fraction else f"invalid {kind.__name__} value: {text!r}"))
+        if len(required) == 2 and flag in required and (
+                other := required[required.index(flag) ^ 1]) in given:
+            _fail(command, f"argument {flag}: not allowed with argument {other}")
+        if how == "append":
+            values = given.get(flag, []) + values
+        given[flag] = values if how else values[0]
+    if required and not given.keys() & set(required):
+        _fail(command, f"the following arguments are required: {required[0]}"
+              if len(required) == 1 else f"one of the arguments {' '.join(required)} is required")
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, **{
+        row[5] if len(row) > 5 else flag[2:].replace("-", "_"): given.get(flag, row[2])
+        for flag, row in rows.items()})
 
 
 def main(argv=None) -> int:
     """Run one command line; return its exit code.
 
-    ``main`` can be called repeatedly in one process: every call shares the
-    one cached parser, and ``parse_args`` gives each call a fresh namespace.
+    ``main`` can be called repeatedly in one process: each call reads its
+    command line into a fresh namespace, and nothing it does stays behind.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     args.started = time.perf_counter()
     if args.command == "dga-homology" and not (args.degree or args.degree_bounds or args.h0):
-        parser.error("dga-homology needs --degree, --degree-range or --h0")
+        _fail(None, "dga-homology needs --degree, --degree-range or --h0")
     if args.command == "specseq" and args.complex and (args.spec or args.builtin):
-        parser.error("specseq --complex excludes --spec and --builtin")
+        _fail(None, "specseq --complex excludes --spec and --builtin")
     try:
         if getattr(args, "wmax", 0) < 0:
             raise free_dga.ParameterOutOfRange("wmax must be nonnegative")
@@ -410,7 +493,8 @@ def main(argv=None) -> int:
         bounds = getattr(args, "degree_bounds", None)
         if bounds and bounds[0] > bounds[1]:
             raise free_dga.ParameterOutOfRange("--degree-range LO HI needs LO <= HI")
-        # By name, per call: the cached parser holds no function object, so a
+        _check_outputs(args)
+        # By name, per call: ``COMMANDS`` holds no function object, so a
         # patched ``cmd_*`` module attribute is the one that runs.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(t for types, _, _ in ERRORS for t in types) as exc:

@@ -296,3 +296,26 @@ def test_keys_within_ulps_of_cell_edges(tol, keys):
     arrays = [[coord(k, u) for k, u in coords[:n]] for n, coords in keys]
     new, old = _both_counts(arrays, tol)
     assert new == old
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lengths_are_the_numpy_median(case, monkeypatch):
+    # Each reported length is the median of its group's sorted lengths,
+    # read off the middle without ``np.median``: bit for bit the same.
+    name, bound = CASES[case]
+    manifold, cfg = MANIFOLDS[name](), chords.ChordConfig(length_bound=bound)
+    got = chords.find_spectrum(manifold, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(chords, "_median_of_sorted", lambda values: float(np.median(values)))
+        want = chords.find_spectrum(manifold, cfg)
+    assert got, case
+    assert [r.length.hex() for r in got] == [r.length.hex() for r in want]
+
+
+def test_median_of_sorted_matches_numpy():
+    rng = np.random.default_rng(11)
+    for n in range(1, 60):
+        for _ in range(40):
+            values = np.sort(rng.uniform(0.5, 4.0, n) * rng.choice([1e-9, 1.0, 1e9]))
+            want = float(np.median(values))
+            assert chords._median_of_sorted(values).hex() == want.hex(), values

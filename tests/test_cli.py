@@ -611,7 +611,8 @@ class TestErrorExits:
     def test_unwritable_output_exit_2(self, where, tmp_path, capsys):
         # A path under a regular file cannot be created, and neither can a
         # manifest where a directory of its name stands or an --outdir that
-        # names a file.
+        # names a file.  Each is found before the work: nothing is printed
+        # and nothing is created.
         blocker = tmp_path / "file"
         blocker.write_text("")
         outdir = tmp_path / "out"
@@ -624,9 +625,11 @@ class TestErrorExits:
             argv += [f"--{where}", str(blocker / f"x.{where}")]
         code, out, err = run(argv, capsys)
         assert code == 2
-        assert out.startswith("H_0 (a=7/2) dim = ")
+        assert out == ""
         assert err.startswith("error: cannot write output: ")
         assert len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "file", "manifest_dga_homology.json", "out"]
 
     def test_weight_lowering_spec_specseq_exit_6(self, tmp_path, capsys):
         spec = tmp_path / "lowering.json"
@@ -876,9 +879,9 @@ def test_huge_chord_grid_exit_6_before_allocation(argv, size, tmp_path):
 
 
 HOPF_HOMOLOGY = ["dga-homology", "--builtin", "hopf", "--a", "9/2"]
-# Command sequences run in one process.  Whatever an earlier call leaves in
-# the shared parser (an appended --degree list, a failed parse) would show as
-# a difference from the same call on a freshly built parser.
+# Command sequences run in one process.  Whatever an earlier call leaves
+# behind in the module (an appended --degree list, a failed parse) would show
+# as a difference from the same call run on its own in a fresh interpreter.
 PARSER_SEQUENCES = {
     "degree_list_then_range": [HOPF_HOMOLOGY + ["--degree", "1", "--degree", "2"],
                                HOPF_HOMOLOGY + ["--degree-range", "0", "2"]],
@@ -888,17 +891,42 @@ PARSER_SEQUENCES = {
                           HOPF_HOMOLOGY + ["--degree", "1"]],
 }
 
+# One ``cli.main`` call in a fresh interpreter; its exit code goes to a file.
+_ON_ITS_OWN = """
+import json, sys
+from stringhom import cli
+try:
+    code = cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = ["SystemExit", exc.code]
+with open(sys.argv[2], "w") as fh:
+    json.dump(code, fh)
+"""
 
-def _recorded_run(argv, outdir, capsys):
-    """Exit code, stdout, stderr, JSON result and manifest parameters of one call."""
+
+def _recorded_run(argv, outdir, capsys, alone=False):
+    """Exit code, stdout, stderr, JSON result and manifest parameters of one call.
+
+    With ``alone``, the call runs in a fresh interpreter.
+    """
     outdir.mkdir(exist_ok=True)
     result, manifest = outdir / "res.json", outdir / "manifest_dga_homology.json"
-    try:
-        code = cli.main(argv + ["--outdir", str(outdir), "--json", str(result)])
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    out = capsys.readouterr()
-    record = (code, out.out, out.err,
+    argv = argv + ["--outdir", str(outdir), "--json", str(result)]
+    if alone:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stringhom.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code_file = outdir.parent / "code.json"
+        proc = subprocess.run([sys.executable, "-c", _ON_ITS_OWN, json.dumps(argv), str(code_file)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code = json.loads(code_file.read_text())
+        code, out, err = tuple(code) if isinstance(code, list) else code, proc.stdout, proc.stderr
+    else:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+    record = (code, out, err,
               result.read_text() if result.exists() else None,
               json.loads(manifest.read_text())["parameters"] if manifest.exists() else None)
     for path in outdir.iterdir():
@@ -909,14 +937,10 @@ def _recorded_run(argv, outdir, capsys):
 @pytest.mark.parametrize("sequence", list(PARSER_SEQUENCES))
 def test_repeated_main_calls_match_fresh_parsers(sequence, tmp_path, capsys):
     argvs = PARSER_SEQUENCES[sequence]
-    cli.build_parser.cache_clear()
     shared = [_recorded_run(argv, tmp_path / str(k), capsys) for k, argv in enumerate(argvs)]
-    assert cli.build_parser.cache_info().misses == 1
-    fresh = []
-    for k, argv in enumerate(argvs):
-        cli.build_parser.cache_clear()
-        fresh.append(_recorded_run(argv, tmp_path / str(k), capsys))
-    assert shared == fresh
+    alone = [_recorded_run(argv, tmp_path / str(k), capsys, alone=True)
+             for k, argv in enumerate(argvs)]
+    assert shared == alone
     assert shared[-1][0] == 0
     if sequence == "degree_list_then_range":
         assert shared[1][1].count("dim = ") == 3

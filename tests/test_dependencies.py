@@ -5,7 +5,9 @@ with ``ast`` (function-level imports included): each must name the
 standard library, ``stringhom`` itself (relative imports too) or numpy,
 and numpy may appear only in ``chords``.  None may be ``dataclasses`` or
 ``typing``, and a fresh ``python -S`` that imports ``stringhom.cli`` loads
-neither of them nor ``inspect``.
+neither of them nor ``inspect``.  Running the exact subcommands there loads
+none of ``argparse``, ``gettext`` and ``locale``, and a ``chords`` run does
+not load ``numpy.ma``.
 
 Every top-level function or class and every non-dunder method defined
 there must also be named somewhere under ``src/`` outside its own
@@ -16,6 +18,7 @@ call under ``src/`` gives must take two values there, or be listed in
 """
 
 import ast
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -78,6 +81,47 @@ def test_cli_starts_without_dataclasses_inspect_or_typing():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+# Runs the commands of argv[3] through cli.main in one fresh interpreter, then
+# prints which of the modules of argv[4] it loaded.
+RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+sys.path.append(sys.argv[2])
+from stringhom import cli
+for argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in json.loads(sys.argv[4]) if m in sys.modules))
+"""
+
+
+def _loaded_by(commands, modules, tmp_path):
+    import numpy
+
+    site = str(Path(numpy.__file__).parents[1])
+    commands = [argv + ["--outdir", str(tmp_path)] for argv in commands]
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN, str(PACKAGE.parent), site,
+                           json.dumps(commands), json.dumps(modules)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_exact_commands_start_without_argparse_gettext_or_locale(tmp_path):
+    # argparse imports gettext, whose first message lookup imports locale:
+    # together about 3 ms of every fresh run's first command.
+    commands = [["dga-homology", "--builtin", "hopf", "--a", "3.5", "--degree", "0"],
+                ["specseq", "--builtin", "hopf", "--a", "3.5", "--rmax", "1"],
+                ["cord", "--builtin", "hopf_link", "--wmax", "2"]]
+    assert _loaded_by(commands, ["argparse", "gettext", "locale"], tmp_path) == "[]"
+
+
+def test_chords_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 17 ms.
+    commands = [["chords", "--builtin", "hopf", "--a", "3.5", "--m", "2"]]
+    assert _loaded_by(commands, ["numpy", "numpy.ma"], tmp_path) == "['numpy']"
 
 
 # Definitions under src/stringhom that nothing under src/ names, with the reason.
