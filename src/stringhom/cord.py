@@ -334,7 +334,7 @@ def quotient_dims_by_wordcount(pres: CordPresentation, wmax: int) -> list[int]:
     the truncation-stability check guards.
     """
     if wmax < 0:
-        raise CordError("wmax must be nonnegative")
+        raise free_dga.ParameterOutOfRange("wmax must be nonnegative")
     if wmax > pres.bound:
         raise BoundExceeded(f"wmax {wmax} exceeds presentation bound {pres.bound}")
     window = free_dga.LengthWindow(Fraction(2 * wmax + 3, 2))

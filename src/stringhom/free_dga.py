@@ -11,19 +11,21 @@ subcomplex, and all dimensions are exact rational ranks.
 Two families are built in:
 
 * ``build_hopf(d)`` -- the 24-generator algebra attached to a pair of
-  (d-1)-spheres forming a higher-dimensional Hopf link in R^(2d-1), with
-  differential split as a stabilization part (d -> e) plus a linking part F.
+  (d-1)-spheres forming a higher-dimensional Hopf link in R^(2d-1), whose
+  differential is del + F: a stabilization part del (d -> e) plus a
+  linking part F.
 * ``build_unlink(d, z)`` -- the 12-generator algebra of two spheres spaced
   by a vector of norm z > 2, with zero differential.
 
-``forget_F`` drops the linking part, which exhibits the hopf algebra as a
-stabilization of its chord subalgebra; homology then counts pure chord
-words.  ``destabilize`` splits the d/e pairs off with F kept, and homology
-and the degree-0 slices are computed on the chord letters that remain,
-block by block (``_over_blocks``): the blocks are composable segments,
-ranked small and convolved, when every term of every D(g) is exactly as
-long as g (as in both families), and the whole window is one block
-otherwise.
+``forget_F`` keeps D only on the stabilization pairs d -> e that
+``destabilize`` finds: it keeps del and drops F, on any DGA.  On the hopf
+algebra this exhibits a stabilization of its chord subalgebra, and homology
+then counts pure chord words.  ``destabilize`` splits the d/e pairs off with
+F kept, and homology and the degree-0 slices are computed on the chord
+letters that remain, block by block (``_over_blocks``): the blocks are
+composable segments, ranked small and convolved, when every term of every
+D(g) is exactly as long as g (as in both families), and the whole window
+is one block otherwise.
 """
 
 from __future__ import annotations
@@ -146,20 +148,10 @@ class AlgebraElement:
 
 
 class DGA:
-    """Generator table plus differential table, validated at construction.
+    """Generator table plus differential table, validated at construction."""
 
-    ``del_part``/``f_part`` optionally record a splitting D = del + F; it is
-    only present on built-in algebras and is what ``forget_F`` consumes.
-    """
-
-    def __init__(
-        self,
-        generators: list[Generator],
-        diff: Mapping[str, AlgebraElement],
-        del_part: Mapping[str, AlgebraElement] | None = None,
-        f_part: Mapping[str, AlgebraElement] | None = None,
-        name: str = "",
-    ):
+    def __init__(self, generators: list[Generator], diff: Mapping[str, AlgebraElement],
+                 name: str = ""):
         self.generators = list(generators)
         self.by_id = {g.id: g for g in self.generators}
         if len(self.by_id) != len(self.generators):
@@ -184,8 +176,6 @@ class DGA:
         # Letters with D = 0: a word made of them alone has no differential.
         self._dead = frozenset(gid for gid, (_, terms) in self._letters.items() if not terms)
         self._spectra: dict = {}  # see ``_window_spectrum``
-        self.del_part = dict(del_part) if del_part is not None else None
-        self.f_part = dict(f_part) if f_part is not None else None
         self.name = name
         self.validate()
 
@@ -222,8 +212,8 @@ class DGA:
                           for gid, (p, q) in pq.items()}
 
     @cached_property
-    def _destabilized(self) -> "DGA":
-        """What ``destabilize`` returns, built once per DGA."""
+    def _partners(self) -> dict[str, str]:
+        """The stabilization pairs ``destabilize`` drops, as {d: e}, found once per DGA."""
         _, n, scaled = self._length_table
         in_terms = {x for img in self.diff.values() for w in img.terms for x in w}
         in_products = {x for img in self.diff.values() for w in img.terms if len(w) > 1 for x in w}
@@ -238,6 +228,12 @@ class DGA:
                     and all(not below_bound(*scaled[g.id], *scaled[d.id], n) and d.weight >= g.weight
                             for g in self.generators if (e.id,) in self.diff[g.id].terms)):
                 partner[d.id] = e.id
+        return partner
+
+    @cached_property
+    def _destabilized(self) -> "DGA":
+        """What ``destabilize`` returns, built once per DGA."""
+        partner = self._partners
         if not partner:
             return self
         gone = set(partner) | set(partner.values())
@@ -293,13 +289,6 @@ class DGA:
         ok, witness = d_squared_zero_check(self)
         if not ok:
             raise InvalidDGA(f"D^2 != 0 on generator {witness[0]}")
-        if self.del_part is not None and self.f_part is not None:
-            for g in self.generators:
-                combined = self.del_part.get(g.id, AlgebraElement.zero()) + self.f_part.get(
-                    g.id, AlgebraElement.zero()
-                )
-                if combined != self.diff[g.id]:
-                    raise InvalidDGA(f"recorded splitting disagrees with D on {g.id}")
 
     def __repr__(self) -> str:
         return f"DGA({self.name or 'anonymous'}, {len(self.generators)} generators)"
@@ -721,8 +710,10 @@ def build_hopf(d: int) -> DGA:
     """Length-filtered algebra of the spherical Hopf link in R^(2d-1).
 
     24 generators in three families: chord generators c (weight 1),
-    stabilization partners d/e (weight 2).  The differential is del + F,
-    where del kills everything except d -> e and F records the linking.
+    stabilization partners d/e (weight 2).  The differential is written out
+    as del + F: del sends each d to its e and vanishes elsewhere, and F
+    holds the linking terms.  No splitting is stored; ``forget_F`` finds del
+    again as the pairs ``destabilize`` drops.
     """
     if d < 2:
         raise ParameterOutOfRange("d must be at least 2")
@@ -749,36 +740,21 @@ def build_hopf(d: int) -> DGA:
     for i, j in _pairs():
         add(f"e2_{i}{j}", 3 * d - 5, 2 if i == j else 3, 2)
 
+    gen, word = AlgebraElement.gen, AlgebraElement.from_word
     sgn_d = Fraction(-1 if d % 2 else 1)
-    zero = AlgebraElement.zero()
-    del_part = {g.id: zero for g in gens}
-    f_part = {g.id: zero for g in gens}
-    for i in (0, 1):
-        del_part[f"d1_{i}{i}"] = AlgebraElement.gen(f"e1_{i}{i}")
-    for i, j in _pairs():
-        del_part[f"d2_{i}{j}"] = AlgebraElement.gen(f"e2_{i}{j}")
-
-    f_part["c1_00"] = AlgebraElement.gen("e1_00", sgn_d) + AlgebraElement.from_word(
-        ("c0_01", "c0_10"), sgn_d
-    )
-    f_part["c1_11"] = AlgebraElement.gen("e1_11", sgn_d) + AlgebraElement.from_word(
-        ("c0_10", "c0_01")
-    )
-    f_part["c2_00"] = (
-        AlgebraElement.gen("e2_00", -1)
-        + AlgebraElement.from_word(("cb1_01", "c0_10"), -1)
-        + AlgebraElement.from_word(("c1_01", "c0_10"), -sgn_d)
-    )
-    f_part["c2_11"] = (
-        AlgebraElement.gen("e2_11", -1)
-        + AlgebraElement.from_word(("cb1_10", "c0_01"), -sgn_d)
-        + AlgebraElement.from_word(("c1_10", "c0_01"), -1)
-    )
-    f_part["c2_01"] = AlgebraElement.gen("e2_01", -1)
-    f_part["c2_10"] = AlgebraElement.gen("e2_10", -1)
-
-    diff = {g.id: del_part[g.id] + f_part[g.id] for g in gens}
-    return DGA(gens, diff, del_part=del_part, f_part=f_part, name=f"hopf(d={d})")
+    # del: each stabilization partner d -> its e.
+    diff = {f"d1_{i}{i}": gen(f"e1_{i}{i}") for i in (0, 1)}
+    diff |= {f"d2_{i}{j}": gen(f"e2_{i}{j}") for i, j in _pairs()}
+    # F: the linking terms.
+    diff["c1_00"] = gen("e1_00", sgn_d) + word(("c0_01", "c0_10"), sgn_d)
+    diff["c1_11"] = gen("e1_11", sgn_d) + word(("c0_10", "c0_01"))
+    diff["c2_00"] = (gen("e2_00", -1) + word(("cb1_01", "c0_10"), -1)
+                     + word(("c1_01", "c0_10"), -sgn_d))
+    diff["c2_11"] = (gen("e2_11", -1) + word(("cb1_10", "c0_01"), -sgn_d)
+                     + word(("c1_10", "c0_01"), -1))
+    diff["c2_01"] = gen("e2_01", -1)
+    diff["c2_10"] = gen("e2_10", -1)
+    return DGA(gens, diff, name=f"hopf(d={d})")
 
 
 def build_unlink(d: int, z2star) -> DGA:
@@ -807,30 +783,16 @@ def build_unlink(d: int, z2star) -> DGA:
         gens.append(Generator(f"cb1_{i}{j}", 2 * d - 3, cross_len))
     for i, j in _pairs():
         gens.append(Generator(f"c2_{i}{j}", 3 * d - 4, Surd(2) if i == j else cross_len))
-    zero = AlgebraElement.zero()
-    diff = {g.id: zero for g in gens}
-    return DGA(
-        gens,
-        diff,
-        del_part=dict(diff),
-        f_part=dict(diff),
-        name=f"unlink(d={d}, z={z})",
-    )
+    return DGA(gens, {}, name=f"unlink(d={d}, z={z})")
 
 
 def forget_F(dga: DGA) -> DGA:
-    """Same generators, differential reduced to the stabilization part."""
-    if dga.del_part is None:
-        raise NotApplicable("this DGA does not record a del/F splitting")
-    zero = AlgebraElement.zero()
-    del_part = {g.id: dga.del_part.get(g.id, zero) for g in dga.generators}
-    return DGA(
-        dga.generators,
-        del_part,
-        del_part=del_part,
-        f_part={g.id: zero for g in dga.generators},
-        name=f"{dga.name}|del",
-    )
+    """Same generators, D kept only on the sources d of the pairs d -> e of ``destabilize``.
+
+    With D = del + F, del the pairs' terms d -> λ·e, this drops the linking
+    part F.  No pair's e is itself a pair's source, so D^2 = 0 still holds.
+    """
+    return DGA(dga.generators, {d: dga.diff[d] for d in dga._partners}, name=f"{dga.name}|del")
 
 
 def destabilize(dga: DGA) -> DGA:

@@ -157,7 +157,7 @@ def pages(bars: dict[tuple, int], rmax: int, homology: Mapping[int, int]) -> lis
     ``homology``, computed by a route without persistence.
     """
     if rmax < 1:
-        raise ValueError("page index must be at least 1")
+        raise free_dga.ParameterOutOfRange("rmax must be at least 1")
     einf = PageTable(-1, page(bars, math.inf).dims)
     totals = einf.total_dims()
     if any(totals.get(n, 0) != homology.get(n, 0) for n in set(totals) | set(homology)):

@@ -6,6 +6,7 @@ traced benchmark run; this test catches both without running the benchmark.
 
 import importlib.util
 import inspect
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import dga_oracle
 from stringhom import cord, exactlin, free_dga
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 HOOKS = [
     (free_dga, "_enumerate_words"),
@@ -79,3 +81,19 @@ def test_tracer_stages_cord_slices():
     assert metrics["cord.slices_s"] > 0
     # The slices are H_0 of the presentation's DGA: their work runs in free_dga.
     assert metrics["free_dga.calls"] > 0
+
+
+def test_tracer_declares_every_per_layer_metric():
+    # A stage metric exists only for a function the tracer finds by name at
+    # install (``specseq.build_s`` comes from ``specseq.from_dga``), so a
+    # renamed or removed function drops a declared metric from the benchmark.
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    # The harness adds these itself, from untraced passes and command timings.
+    declared = {n for n in declared if n != "trace.overhead_ratio" and not n.startswith("cmd.")}
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        names = set(tracer.metrics())
+    finally:
+        tracer.uninstall()
+    assert names == declared

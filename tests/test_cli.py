@@ -1,11 +1,14 @@
 import csv
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import cord_oracle
 import dga_oracle
@@ -13,6 +16,8 @@ import pytest
 
 import stringhom
 from stringhom import chords, cli, cord, free_dga, specseq
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run(argv, capsys):
@@ -291,6 +296,29 @@ class TestSpecseq:
         assert code == 0
         assert "convergence to total homology: OK" in out
 
+    def test_forget_f_on_spec_matches_builtin(self, tmp_path, capsys):
+        # --forget-f reads the pairs off D, so a saved copy of hopf(2), also
+        # one permuted and renamed as the benchmark writes its specs, gives
+        # the built-in's pages.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        hopf = free_dga.build_hopf(2)
+        free_dga.save_dga(hopf, tmp_path / "plain.json")
+        free_dga.save_dga(workloads.relabelled(hopf, random.Random(7)), tmp_path / "relabelled.json")
+        csvs = {}
+        for label, source in [("builtin", ["--builtin", "hopf"]),
+                              ("plain", ["--spec", str(tmp_path / "plain.json")]),
+                              ("relabelled", ["--spec", str(tmp_path / "relabelled.json")])]:
+            code, _, _ = run(["specseq", *source, "--a", "9/2", "--forget-f",
+                              "--csv", str(tmp_path / f"{label}.csv"), "--outdir", str(tmp_path)],
+                             capsys)
+            assert code == 0
+            csvs[label] = (tmp_path / f"{label}.csv").read_text()
+        assert any(line.startswith("inf,") for line in csvs["builtin"].splitlines())
+        assert csvs["plain"] == csvs["builtin"]
+        assert csvs["relabelled"] == csvs["builtin"]
+
 
 def _write_json(path, data):
     path.write_text(json.dumps(data))
@@ -504,11 +532,10 @@ class TestErrorExits:
         err = self.check(["cord", "--builtin", "hopf_link", "--wmax", "50"], 6, tmp_path, capsys)
         assert "exceeds presentation bound" in err
 
-    def test_forget_f_on_spec_exit_6(self, tmp_path, capsys):
-        spec = tmp_path / "plain.json"
-        free_dga.save_dga(free_dga.build_hopf(2), spec)
-        self.check(["specseq", "--spec", str(spec), "--a", "3.5", "--forget-f"],
-                   6, tmp_path, capsys)
+    def test_forget_f_on_complex_exit_6(self, tmp_path, capsys):
+        path = _write_json(tmp_path / "fc.json", _complex_data())
+        err = self.check(["specseq", "--complex", path, "--forget-f"], 6, tmp_path, capsys)
+        assert "not to --complex" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -138,6 +138,11 @@ class TestQuotientDims:
         with pytest.raises(BoundExceeded):
             quotient_dims_by_wordcount(pres, pres.bound + 1)
 
+    def test_negative_wmax_rejected(self):
+        # The CLI's own rule and text, so a library caller reads the same error.
+        with pytest.raises(free_dga.ParameterOutOfRange, match="^wmax must be nonnegative$"):
+            quotient_dims_by_wordcount(builtin_presentation("unknot", 2), -1)
+
     @pytest.mark.parametrize("name,wmax", [("unknot", 3), ("hopf_link", 3)])
     def test_engine_matches_full_alphabet_oracle(self, name, wmax):
         # Valid comparison: for these presentations every eliminated

@@ -78,6 +78,17 @@ class TestConditions:
             want = {w: c for w, c in dga.diff[gid].terms.items() if len(w) > 1}
             assert out.diff[gid].terms == want
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hopf_pairs_are_the_d_to_e_terms(self, d):
+        dga = build_hopf(d)
+        assert dga._partners == {g.id: "e" + g.id[1:] for g in dga.generators if g.id[0] == "d"}
+
+    def test_forget_f_keeps_d_on_the_pair_sources_only(self):
+        out = forget_F(_spec(BASE, BASE_DIFF))
+        assert _ids(out) == [gid for gid, *_ in BASE]
+        assert {gid: img for gid, img in out.diff.items() if not img.is_zero()} == {
+            "d": AlgebraElement.gen("e")}
+
     def test_forget_f_loses_every_pair(self):
         dga = forget_F(build_hopf(2))
         out = destabilize(dga)

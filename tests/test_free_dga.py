@@ -7,13 +7,13 @@ from dga_oracle import chord_word_counts_all, scale, word_basis, word_key, word_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringhom import cord
 from stringhom.free_dga import (
     AlgebraElement,
     DGA,
     GradingViolation,
     InvalidDGA,
     LengthWindow,
-    NotApplicable,
     ParameterOutOfRange,
     UnknownGenerator,
     WindowCollision,
@@ -273,12 +273,7 @@ class TestHomology:
         assert lhs == rhs
 
     def test_generator_order_independent(self, hopf2):
-        reversed_dga = DGA(
-            list(reversed(hopf2.generators)),
-            hopf2.diff,
-            del_part=hopf2.del_part,
-            f_part=hopf2.f_part,
-        )
+        reversed_dga = DGA(list(reversed(hopf2.generators)), hopf2.diff)
         for p in (0, 1, 2):
             assert homology_dim(hopf2, p, W("9/2")) == homology_dim(
                 reversed_dga, p, W("9/2")
@@ -365,10 +360,14 @@ class TestForgetF:
         ok, _ = d_squared_zero_check(stripped)
         assert ok
 
-    def test_requires_split(self, hopf2):
-        anonymous = DGA(hopf2.generators, hopf2.diff)
-        with pytest.raises(NotApplicable):
-            forget_F(anonymous)
+    def test_no_pair_leaves_zero_differential(self):
+        # The presentation's DGA has D != 0 but no stabilization pair.
+        for dga in (build_unlink(2, 3),
+                    cord.presentation_dga(cord.builtin_presentation("hopf_link", 2))):
+            stripped = forget_F(dga)
+            assert stripped.generators == dga.generators
+            assert stripped.name == f"{dga.name}|del"
+            assert all(img.is_zero() for img in stripped.diff.values())
 
     @pytest.mark.parametrize("d,a", [(2, "9/2"), (3, "9/2")])
     def test_stabilization_small_windows(self, d, a):

@@ -161,7 +161,7 @@ class TestPages:
         assert complex_pages(fc, 1)[-1].dims == first.dims
 
     def test_page_index_validated(self, hopf_complex):
-        with pytest.raises(ValueError):
+        with pytest.raises(free_dga.ParameterOutOfRange, match="^rmax must be at least 1$"):
             complex_pages(hopf_complex, 0)
 
     @pytest.mark.parametrize("seed", range(8))
