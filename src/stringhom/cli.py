@@ -357,13 +357,13 @@ def cmd_specseq(args) -> int:
     if args.complex:
         if args.forget_f or args.a is not None:
             raise free_dga.NotApplicable("--forget-f and --a apply to a DGA, not to --complex")
-        tables = specseq.complex_pages(specseq.load_complex(args.complex), args.rmax)
+        tables = specseq.pages(specseq.load_complex(args.complex).barcode(), args.rmax)
     else:
         dga = _load_or_build_dga(args)
         if args.forget_f:
             dga = free_dga.forget_F(dga)
         window = free_dga.LengthWindow(args.a) if args.a is not None else _auto_window(dga)
-        tables = specseq.dga_pages(dga, window, args.rmax)
+        tables = specseq.pages(specseq.dga_barcode(dga, window), args.rmax)
     # A failed convergence check has raised before anything is written.
     for t in tables[:-1]:
         print(f"page r={t.r}: " + ", ".join(f"E({p},{q})={d}" for p, q, d in t.nonzero()))

@@ -520,52 +520,27 @@ def _diff_rows(dga: DGA, source: Iterable[Word], index: dict[Word, int]):
             yield row
 
 
-def _degree_counts(moves: list) -> dict[int, int]:
-    """Number of words per degree along the ``_moves`` table, without listing them.
-
-    ``counts[r][degree]`` counts the words of length rank r and that degree.
-    Every move raises the rank, so one pass in rank order pushes each count
-    forward by each letter.
-    """
-    counts: list[dict[int, int]] = [{} for _ in moves]
-    counts[0][0] = 1
-    total: dict[int, int] = {}
-    for here, row in zip(counts, moves):
-        for deg, c in here.items():
-            total[deg] = total.get(deg, 0) + c
-        for _, gdeg, nr in row:
-            there = counts[nr]
-            for deg, c in here.items():
-                there[deg + gdeg] = there.get(deg + gdeg, 0) + c
-    return dict(sorted(total.items()))
-
-
 def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
     """dim ker(D at this degree) - dim im(D from one degree up)."""
     return homology_dims_all(dga, window, [degree])[degree]
 
 
-def homology_dims_all(
-    dga: DGA, window: LengthWindow, degrees: Iterable[int] | None = None
-) -> dict[int, int]:
-    """Homology dimensions at ``degrees``, or at every populated degree.
+def homology_dims_all(dga: DGA, window: LengthWindow, degrees: Iterable[int]) -> dict[int, int]:
+    """Homology dimensions at ``degrees``.
 
-    Runs on ``destabilize(dga)``; "every populated degree" is read off the
-    original window.  ``_over_blocks`` ranks each block with
+    Runs on ``destabilize(dga)``.  ``_over_blocks`` ranks each block with
     ``_segment_homology``: where D keeps each maximal composable run of a
     word, with its end classes and exact length, and the breakpoints
     between runs, the window is a direct sum of tensor products of segment
     complexes (Koszul signs are the Leibniz rule's), and Künneth over Q
     multiplies their homology; otherwise the whole window is one block.
     """
-    wanted = None if degrees is None else sorted(set(degrees))
-    if wanted == []:
+    wanted = sorted(set(degrees))
+    if not wanted:
         window.ensure_valid(dga)
         return {}
-    cap = wanted[-1] if wanted and dga.nonneg_graded else None
+    cap = wanted[-1] if dga.nonneg_graded else None
     dims = _over_blocks(dga, window, None if cap is None else cap + 1, cap, _segment_homology)
-    if wanted is None:
-        wanted = _degree_counts(_moves(dga, window))
     return {p: dims.get(p, 0) for p in wanted}
 
 
@@ -651,18 +626,18 @@ def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]
     return {p: h for p, h in dims.items() if h}
 
 
-def _segment_h0(dga: DGA, by_deg: dict[int, list[Word]], wmax: int) -> dict[int, int]:
-    """Nonzero letter-count slices, up to ``wmax``, of one block's H_0: with columns
-    heaviest first each pivot is its row's longest word, and slice w is the words of
-    w letters less the pivots of w letters.  No clearing as in ``_segment_homology``:
-    at degree cap 1 no degree-2 block is ranked whose pivots could be left out."""
+def _segment_h0(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
+    """Nonzero letter-count slices of one block's H_0: with columns heaviest first
+    each pivot is its row's longest word, and slice w is the words of w letters
+    less the pivots of w letters.  No clearing as in ``_segment_homology``: at
+    degree cap 1 no degree-2 block is ranked whose pivots could be left out."""
     columns = sorted(by_deg.get(0, ()), key=lambda w: (-len(w), w))
     red = RowReducer()
     for row in _diff_rows(dga, by_deg.get(1, ()), {w: i for i, w in enumerate(columns)}):
         red.add(row, owned=True)
     slices = Counter(map(len, columns))
     slices.subtract(len(columns[c]) for c in red.pivots)
-    return {k: v for k in range(wmax + 1) if (v := slices[k])}
+    return {k: v for k, v in slices.items() if v}
 
 
 def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]:
@@ -691,7 +666,7 @@ def h0_dims_by_wordcount(dga: DGA, window: LengthWindow, wmax: int) -> list[int]
     """
     if not dga.nonneg_graded:
         raise GradingViolation("degree-0 homology slices need a nonnegative grading")
-    total = _over_blocks(dga, window, 1, wmax, partial(_segment_h0, wmax=wmax))
+    total = _over_blocks(dga, window, 1, wmax, _segment_h0)
     return [total.get(w, 0) for w in range(wmax + 1)]
 
 

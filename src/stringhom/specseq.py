@@ -22,9 +22,11 @@ the DGA splits by composable segments, the window is a direct sum of
 tensor products of segment blocks, and the tensor of a pair with gap g and
 a pair with gap h is two pairs with gap min(g, h), so the window's barcode
 is the blocks' barcodes convolved; otherwise the whole window is one
-block.  One function, ``pages``, reads E^1..E^r and E-oo off the barcode,
-and raises ``ConvergenceFailure`` unless the E-oo degree totals equal
-homology computed without persistence.
+block.  ``barcode`` raises ``ConvergenceFailure`` unless its unpaired
+cells, totalled by degree, equal the complex's homology computed without
+persistence; an unpaired cell of a tensor is unpaired in both factors, so
+checking every block checks the window.  One function, ``pages``, reads
+E^1..E^r and E-oo off the barcode.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class FilteredComplexError(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """The E-oo degree totals differ from the total homology: a page is wrong."""
+    """The unpaired cells of a barcode differ from the homology: a page is wrong."""
 
 
 Cell = namedtuple("Cell", "id degree filtration")
@@ -98,7 +100,9 @@ class FilteredComplex:
         so the pivot of a column is its latest cell in the order.  A column
         that leaves a new pivot pairs its cell with the pivot cell, and both
         carry the pair's filtration gap; a cell in no pair carries the
-        homology, and the gap ``math.inf``.
+        homology, and the gap ``math.inf``.  Raises ``ConvergenceFailure``
+        unless the unpaired cells, totalled by degree, equal
+        ``homology_dims``, whose clearing ranks use no persistence.
         """
         cells = self.cells
         order = sorted(range(len(cells)), key=lambda i: (cells[i].filtration, i))
@@ -113,6 +117,12 @@ class FilteredComplex:
             if cols[j] and red.add(cols[j], owned=True):
                 i = latest_first[next(reversed(red.pivots))]
                 gaps[i] = gaps[j] = cells[j].filtration - cells[i].filtration
+        unpaired = Counter(cells[k].degree for k, g in gaps.items() if g == math.inf)
+        homology = self.homology_dims()
+        for n in sorted(set(unpaired) | set(homology)):
+            if unpaired[n] != homology.get(n, 0):
+                raise ConvergenceFailure(f"degree {n}: E-oo has {unpaired[n]} cells, "
+                                         f"homology dimension {homology.get(n, 0)}")
         return Counter((cells[k].filtration, cells[k].degree, g) for k, g in gaps.items())
 
     def __repr__(self) -> str:
@@ -130,12 +140,6 @@ class PageTable(namedtuple("PageTable", "r dims")):
     def nonzero(self) -> list[tuple[int, int, int]]:
         return [(p, q, d) for (p, q), d in sorted(self.dims.items()) if d > 0]
 
-    def total_dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (p, q), d in self.dims.items():
-            out[p + q] = out.get(p + q, 0) + d
-        return out
-
 
 def page(bars: dict[tuple, int], r) -> PageTable:
     """E^r_(p,q): the cells of the barcode ``bars`` at (p, p+q) whose gap is at least r.
@@ -150,33 +154,14 @@ def page(bars: dict[tuple, int], r) -> PageTable:
     return PageTable(r, dims)
 
 
-def pages(bars: dict[tuple, int], rmax: int, homology: Mapping[int, int]) -> list[PageTable]:
+def pages(bars: dict[tuple, int], rmax: int) -> list[PageTable]:
     """E^1..E^rmax of the barcode ``bars``, then E-oo (r = -1).
 
-    Raises ``ConvergenceFailure`` unless the E-oo degree totals equal
-    ``homology``, computed by a route without persistence.
+    ``FilteredComplex.barcode`` has checked E-oo against the homology.
     """
     if rmax < 1:
         raise free_dga.ParameterOutOfRange("rmax must be at least 1")
-    einf = PageTable(-1, page(bars, math.inf).dims)
-    totals = einf.total_dims()
-    if any(totals.get(n, 0) != homology.get(n, 0) for n in set(totals) | set(homology)):
-        raise ConvergenceFailure("E-oo does not add up to the homology")
-    return [page(bars, r) for r in range(1, rmax + 1)] + [einf]
-
-
-def complex_pages(fc: FilteredComplex, rmax: int) -> list[PageTable]:
-    """Pages E^1..E^rmax of ``fc``, then E-oo, checked against ``fc.homology_dims``."""
-    return pages(fc.barcode(), rmax, fc.homology_dims())
-
-
-def dga_pages(dga: free_dga.DGA, window: free_dga.LengthWindow, rmax: int) -> list[PageTable]:
-    """E^1..E^rmax, then E-oo, of the weight filtration of ``destabilize(dga)``.
-
-    Read off ``dga_barcode``, with E-oo checked against
-    ``free_dga.homology_dims_all`` (no persistence there).
-    """
-    return pages(dga_barcode(dga, window), rmax, free_dga.homology_dims_all(dga, window))
+    return [page(bars, r) for r in range(1, rmax + 1)] + [PageTable(-1, page(bars, math.inf).dims)]
 
 
 def _tensor(a: tuple, b: tuple) -> tuple:
@@ -189,9 +174,10 @@ def dga_barcode(dga: free_dga.DGA, window: free_dga.LengthWindow) -> dict[tuple,
 
     ``window`` is validated on ``dga``, whose lengths include those of the
     letters ``destabilize`` drops.  Each block of ``free_dga._over_blocks``
-    is built as ``from_dga`` builds the window, and its barcode read off; a
-    tensor of pairs with gaps g and h splits into two pairs with gap
-    min(g, h), so the segment blocks' keys combine by ``_tensor``.
+    is built as ``from_dga`` builds the window, and its barcode read off
+    and checked against its homology; a tensor of pairs with gaps g and h
+    splits into two pairs with gap min(g, h), so the segment blocks' keys
+    combine by ``_tensor``.
     """
     def block_barcode(small, by_deg):
         return _complex(small, [w for words in by_deg.values() for w in words]).barcode()

@@ -8,9 +8,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 
+from dga_oracle import degree_counts
+
 from stringhom import exactlin
 from stringhom.exactlin import RowReducer
-from stringhom.free_dga import DGA, UNIT, Word, _degree_counts, _diff_rows
+from stringhom.free_dga import DGA, UNIT, Word, _diff_rows
 
 
 def quotient_slice_dims(slice_sizes: list[int], pivot_weights) -> list[int]:
@@ -78,7 +80,7 @@ def blockwise_dims(dga: DGA, moves: list, wanted: list[int]) -> dict[int, int]:
     ``exactlin.homology_dims`` ranks the blocks from the top down with
     clearing.
     """
-    sizes = _degree_counts(moves)
+    sizes = degree_counts(moves)
     # The block of degree p is D from degree p to degree p - 1.
     sources = _live_words(
         dga, moves,

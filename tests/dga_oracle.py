@@ -23,8 +23,9 @@ in ``_segment_h0``.  The routes here share none of that:
   ``specseq.from_dga`` did before it read per-letter tables.
 
 They are far too slow for the command line.  ``word_basis``,
-``chord_word_counts_all``, ``word_length`` and ``admits`` are helpers that
-only the tests call; they run ``free_dga``'s own enumeration and counting.
+``chord_word_counts_all``, ``word_counts_all``, ``degree_counts``,
+``word_length`` and ``admits`` are helpers that only the tests call; they
+run ``free_dga``'s own enumeration and ``_moves`` table.
 ``scale`` multiplies an ``AlgebraElement`` by a coefficient.
 """
 
@@ -36,7 +37,6 @@ from stringhom.free_dga import (
     DGA,
     AlgebraElement,
     LengthWindow,
-    _degree_counts,
     _enumerate_words,
     _moves,
     _word_differential,
@@ -64,7 +64,33 @@ def chord_word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
     window.ensure_valid(dga)
     light = {g.id for g in dga.generators if g.weight == 1}
     moves = [[m for m in row if m[0] in light] for row in _moves(dga, window)]
-    return _degree_counts(moves)
+    return degree_counts(moves)
+
+
+def word_counts_all(dga: DGA, window: LengthWindow) -> dict[int, int]:
+    """Per-degree counts of the window's words, keyed by every populated degree."""
+    window.ensure_valid(dga)
+    return degree_counts(_moves(dga, window))
+
+
+def degree_counts(moves: list) -> dict[int, int]:
+    """Number of words per degree along the ``_moves`` table, without listing them.
+
+    ``counts[r][degree]`` counts the words of length rank r and that degree.
+    Every move raises the rank, so one pass in rank order pushes each count
+    forward by each letter.
+    """
+    counts: list[dict[int, int]] = [{} for _ in moves]
+    counts[0][0] = 1
+    total: dict[int, int] = {}
+    for here, row in zip(counts, moves):
+        for deg, c in here.items():
+            total[deg] = total.get(deg, 0) + c
+        for _, gdeg, nr in row:
+            there = counts[nr]
+            for deg, c in here.items():
+                there[deg + gdeg] = there.get(deg + gdeg, 0) + c
+    return dict(sorted(total.items()))
 
 
 def word_length(dga: DGA, word) -> Surd:

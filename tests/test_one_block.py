@@ -2,7 +2,7 @@
 
 When some term of some D(g) of the destabilized DGA is shorter than g or
 empty (``DGA._ends`` is None), ``homology_dims_all``,
-``h0_dims_by_wordcount`` and ``specseq.dga_pages`` measure the whole window
+``h0_dims_by_wordcount`` and ``specseq.dga_barcode`` measure the whole window
 as one block.  The inputs here are the planted specs of ``test_segments``
 plus one letter q with D(q) = w - w', where w and w' are words of one degree
 in letters with D = 0, w as long as q and w' shorter or empty.  Homology and
@@ -29,7 +29,6 @@ from stringhom.free_dga import (
     AlgebraElement,
     LengthWindow,
     WindowCollision,
-    _degree_counts,
     _moves,
     destabilize,
     dga_from_json_dict,
@@ -73,7 +72,8 @@ SEEDS = range(12)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_block_matches_oracle(seed):
     dga, window = _one_block_spec(seed), _planted_window(seed)
-    assert homology_dims_all(dga, window) == dga_oracle.homology_dims_all(dga, window)
+    want = dga_oracle.homology_dims_all(dga, window)
+    assert homology_dims_all(dga, window, want) == want
     if dga.nonneg_graded:
         bases = [dga_oracle.words_of_degree(dga, window, p) for p in (0, 1)]
         want = dga_oracle.h0_dims_by_wordcount(dga, *bases, 4)
@@ -84,9 +84,9 @@ def test_one_block_matches_oracle(seed):
 @settings(max_examples=30, deadline=None)
 def test_one_block_matches_blockwise(seed, unit):
     dga, window = _one_block_spec(seed, unit), _planted_window(seed)
-    small, wanted = destabilize(dga), sorted(_degree_counts(_moves(dga, window)))
+    small, wanted = destabilize(dga), sorted(dga_oracle.word_counts_all(dga, window))
     moves = _moves(small, window)
-    assert homology_dims_all(dga, window) == blockwise_dims(small, moves, wanted)
+    assert homology_dims_all(dga, window, wanted) == blockwise_dims(small, moves, wanted)
     if dga.nonneg_graded:
         assert h0_dims_by_wordcount(dga, window, 4) == blockwise_h0(small, moves, 4)
     # One degree at a time, as ``--degree`` asks, the cap cuts the block.
@@ -98,9 +98,10 @@ def test_one_block_matches_blockwise(seed, unit):
 def test_one_block_pages_match_complex_pages(seed):
     # The empty word weighs 0, so D(q) = w - 1 would lower weight: w' is not empty.
     dga, window = _weighted(_one_block_spec(seed, unit=False), seed), _planted_window(seed)
-    rmax = _width(specseq.dga_barcode(dga, window)) + 2
-    got = specseq.dga_pages(dga, window, rmax)
-    want = specseq.complex_pages(specseq.from_dga(destabilize(dga), window), rmax)
+    bars = specseq.dga_barcode(dga, window)
+    rmax = _width(bars) + 2
+    got = specseq.pages(bars, rmax)
+    want = specseq.pages(specseq.from_dga(destabilize(dga), window).barcode(), rmax)
     assert [(t.r, t.dims) for t in got] == [(t.r, t.dims) for t in want]
 
 
@@ -138,8 +139,8 @@ def test_window_is_validated_before_destabilizing():
     window = LengthWindow(Fraction(7, 4))
     for run in (lambda: homology_dims_all(dga, window, []),
                 lambda: homology_dims_all(dga, window, [0]),
-                lambda: homology_dims_all(dga, window),
                 lambda: h0_dims_by_wordcount(dga, window, 2),
-                lambda: specseq.dga_pages(dga, window, 2)):
+                lambda: specseq.from_dga(dga, window),
+                lambda: specseq.dga_barcode(dga, window)):
         with pytest.raises(WindowCollision):
             run()

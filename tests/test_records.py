@@ -50,7 +50,7 @@ class TestGenerator:
 def test_page_tables_equal_the_oracle_and_einf_has_r_minus_1():
     fc = specseq.from_dga(free_dga.build_hopf(2), free_dga.LengthWindow(Fraction(7, 2)))
     rs = list(range(1, stable_page_index(fc) + 1))
-    tables = specseq.complex_pages(fc, rs[-1])
+    tables = specseq.pages(fc.barcode(), rs[-1])
     assert tables == oracle_pages(fc, rs + [-1])
     assert [t.r for t in tables] == rs + [-1]
 

@@ -1,7 +1,7 @@
 """Weight-filtration pages by composable segments against the whole window complex.
 
-When the destabilized DGA splits into segment blocks, ``specseq.dga_pages``
-reads every page off the blocks' barcodes, convolved with gaps combining by
+When the destabilized DGA splits into segment blocks, ``specseq.dga_barcode``
+convolves the blocks' barcodes, convolved with gaps combining by
 min; otherwise the whole window is one block, built as ``from_dga`` builds
 it.  Here the segment route's pages E^1..E^(width+2) and E-oo must equal
 those of ``from_dga`` on the built-ins, relabelled copies and seeded
@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dga_oracle import word_counts_all
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_segments import _planted_spec, _planted_window, _relabelled
@@ -24,8 +25,6 @@ from stringhom.free_dga import (
     DGA,
     Generator,
     LengthWindow,
-    _degree_counts,
-    _moves,
     build_hopf,
     build_unlink,
     destabilize,
@@ -59,19 +58,20 @@ def _segment_pages(dga, window):
     """Pages 1 .. width + 2 and E-oo of the segment route, with the r list used."""
     window.ensure_valid(dga)
     assert destabilize(dga)._ends is not None
-    rs = list(range(1, _width(specseq.dga_barcode(dga, window)) + 3))
-    tables = specseq.dga_pages(dga, window, rs[-1])
+    bars = specseq.dga_barcode(dga, window)
+    rs = list(range(1, _width(bars) + 3))
+    tables = specseq.pages(bars, rs[-1])
     return rs, [t.dims for t in tables]
 
 
 def _complex_pages(dga, window, rs):
     fc = specseq.from_dga(destabilize(dga), window)
-    return [t.dims for t in specseq.complex_pages(fc, rs[-1])]
+    return [t.dims for t in specseq.pages(fc.barcode(), rs[-1])]
 
 
 def _window_euler(dga, window) -> int:
     """Alternating sum of the window's word counts by degree."""
-    return sum((-1) ** (n & 1) * c for n, c in _degree_counts(_moves(dga, window)).items())
+    return sum((-1) ** (n & 1) * c for n, c in word_counts_all(dga, window).items())
 
 
 def _page_euler(dims: dict[tuple[int, int], int]) -> int:
@@ -140,7 +140,7 @@ def test_segment_route_builds_no_window_complex(monkeypatch):
         raise AssertionError("from_dga called")
 
     monkeypatch.setattr(specseq, "from_dga", refuse)
-    tables = specseq.dga_pages(build_hopf(2), LengthWindow(Fraction(13, 2)), 4)
+    tables = specseq.pages(specseq.dga_barcode(build_hopf(2), LengthWindow(Fraction(13, 2))), 4)
     assert len(tables) == 5 and tables[-1].r == -1
     assert all(type(d) is int for t in tables for d in t.dims.values())
 
@@ -160,7 +160,7 @@ def test_shorter_term_spec_takes_one_block_route(monkeypatch):
         raise AssertionError("segment route taken")
 
     monkeypatch.setattr(free_dga, "_segments", refuse)
-    tables = specseq.dga_pages(dga, window, 4)
+    tables = specseq.pages(specseq.dga_barcode(dga, window), 4)
     fc = specseq.from_dga(dga, window)
-    want = specseq.complex_pages(fc, 4)
+    want = specseq.pages(fc.barcode(), 4)
     assert [(t.r, t.dims) for t in tables] == [(t.r, t.dims) for t in want]

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from stringhom import free_dga
 from stringhom.free_dga import (
     LengthWindow,
-    _degree_counts,
     _moves,
     build_hopf,
     build_unlink,
@@ -49,15 +48,11 @@ def _relabelled(dga, seed: int):
     return dga_from_json_dict(free_dga.dga_to_json_dict(copy))
 
 
-def _populated(dga, window) -> dict[int, int]:
-    return _degree_counts(_moves(dga, window))
-
-
 def _blockwise(dga, window, wmax=4):
     """(dims at every populated degree, H_0 slices or None), by the blockwise route."""
     small = destabilize(dga)
     moves = _moves(small, window)
-    dims = blockwise_dims(small, moves, sorted(_populated(dga, window)))
+    dims = blockwise_dims(small, moves, sorted(dga_oracle.word_counts_all(dga, window)))
     return dims, blockwise_h0(small, moves, wmax) if dga.nonneg_graded else None
 
 
@@ -65,7 +60,7 @@ def _segmented(dga, window, wmax=4):
     """The same pair from the public functions, which must take the segment route."""
     assert destabilize(dga)._ends is not None
     h0 = h0_dims_by_wordcount(dga, window, wmax) if dga.nonneg_graded else None
-    return homology_dims_all(dga, window), h0
+    return homology_dims_all(dga, window, dga_oracle.word_counts_all(dga, window)), h0
 
 
 def _planted_spec(seed: int):
@@ -151,14 +146,16 @@ def _euler(dims: dict[int, int]) -> int:
 
 def test_builtin_euler_identity(builtin):
     dga, window = builtin
-    assert _euler(homology_dims_all(dga, window)) == _euler(_populated(dga, window))
+    populated = dga_oracle.word_counts_all(dga, window)
+    assert _euler(homology_dims_all(dga, window, populated)) == _euler(populated)
 
 
 @pytest.mark.parametrize("a", ["17/2", "21/2"])
 def test_large_window_euler_identity(a):
     # The blockwise route takes 13 s and 560 MB at 17/2; counting stays cheap.
     dga, window = build_hopf(2), LengthWindow(Fraction(a))
-    assert _euler(homology_dims_all(dga, window)) == _euler(_populated(dga, window))
+    populated = dga_oracle.word_counts_all(dga, window)
+    assert _euler(homology_dims_all(dga, window, populated)) == _euler(populated)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -173,7 +170,7 @@ def test_planted_routes_agree(seed):
     dga, window = _planted_spec(seed), _planted_window(seed)
     got = _segmented(dga, window)
     assert got == _blockwise(dga, window)
-    assert _euler(got[0]) == _euler(_populated(dga, window))
+    assert _euler(got[0]) == _euler(dga_oracle.word_counts_all(dga, window))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -219,6 +216,7 @@ def test_fallback_specs_take_one_block_route(name, monkeypatch):
         raise AssertionError("segment route taken")
 
     monkeypatch.setattr(free_dga, "_segments", refuse)
-    assert homology_dims_all(dga, window) == dga_oracle.homology_dims_all(dga, window)
+    want = dga_oracle.homology_dims_all(dga, window)
+    assert homology_dims_all(dga, window, want) == want
     bases = [dga_oracle.words_of_degree(dga, window, p) for p in (0, 1)]
     assert h0_dims_by_wordcount(dga, window, 4) == dga_oracle.h0_dims_by_wordcount(dga, *bases, 4)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import dga_oracle
 import pytest
-from page_oracle import associated_graded_homology, oracle_pages, stable_page_index
+from page_oracle import associated_graded_homology, oracle_pages, stable_page_index, total_dims
 
 from stringhom import cli, exactlin, free_dga
 from stringhom.cli import _valid_window
@@ -12,13 +12,14 @@ from stringhom.exactlin import RowReducer, SparseMatrix
 from stringhom.lengths import Surd
 from stringhom.specseq import (
     Cell,
+    ConvergenceFailure,
     FilteredComplex,
     FilteredComplexError,
     complex_from_json_dict,
-    complex_pages,
     complex_to_json_dict,
     from_dga,
     page,
+    pages,
     save_complex,
 )
 
@@ -86,8 +87,8 @@ def random_filtered_complex(seed: int, ncells: int = 10) -> FilteredComplex:
 
 
 def einf_adds_up(fc: FilteredComplex) -> bool:
-    """Do the E-oo degree totals of ``complex_pages`` equal ``fc``'s homology?"""
-    totals, hom = complex_pages(fc, 1)[-1].total_dims(), fc.homology_dims()
+    """Do the E-oo degree totals of ``fc``'s pages equal its homology?"""
+    totals, hom = total_dims(pages(fc.barcode(), 1)[-1]), fc.homology_dims()
     return all(totals.get(n, 0) == hom.get(n, 0) for n in set(totals) | set(hom))
 
 
@@ -158,11 +159,24 @@ class TestPages:
         assert first.dim(-1, 2) == 2
         for r in (2, 3, 5):
             assert page(bars, r).dims == first.dims
-        assert complex_pages(fc, 1)[-1].dims == first.dims
+        assert pages(bars, 1)[-1].dims == first.dims
+
+    @pytest.mark.parametrize("off,named", [((1, 2), 1), ((0,), 0), ((9,), 9)])
+    def test_convergence_failure_names_the_first_differing_degree(
+        self, off, named, hopf_complex, monkeypatch
+    ):
+        hom = hopf_complex.homology_dims()
+        wrong = {**hom, **{n: hom.get(n, 0) + 1 for n in off}}
+        monkeypatch.setattr(FilteredComplex, "homology_dims", lambda fc: wrong)
+        have = hom.get(named, 0)
+        with pytest.raises(ConvergenceFailure,
+                           match=f"^degree {named}: E-oo has {have} cells, "
+                                 f"homology dimension {have + 1}$"):
+            hopf_complex.barcode()
 
     def test_page_index_validated(self, hopf_complex):
         with pytest.raises(free_dga.ParameterOutOfRange, match="^rmax must be at least 1$"):
-            complex_pages(hopf_complex, 0)
+            pages(hopf_complex.barcode(), 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_first_page_is_graded_homology(self, seed):
@@ -230,7 +244,7 @@ class TestComparison:
         plain, conjugated = random_filtered_pair(seed)
         assert page(plain.barcode(), 1).dims == page(conjugated.barcode(), 1).dims
         assert plain.homology_dims() == conjugated.homology_dims()
-        total_e_inf = page(conjugated.barcode(), math.inf).total_dims()
+        total_e_inf = total_dims(page(conjugated.barcode(), math.inf))
         hom = plain.homology_dims()
         for n in set(total_e_inf) | set(hom):
             assert total_e_inf.get(n, 0) == hom.get(n, 0)
@@ -279,8 +293,9 @@ class TestThreeRoutes:
 
     def check(self, dga, window):
         fc = from_dga(dga, window)
-        routes = [free_dga.homology_dims_all(dga, window), fc.homology_dims(),
-                  page(fc.barcode(), math.inf).total_dims()]
+        routes = [free_dga.homology_dims_all(dga, window, dga_oracle.word_counts_all(dga, window)),
+                  fc.homology_dims(),
+                  total_dims(page(fc.barcode(), math.inf))]
         first, *rest = [{n: d for n, d in dims.items() if d} for dims in routes]
         assert rest == [first, first]
 
@@ -324,7 +339,7 @@ class TestIO:
 def _all_pages(fc):
     """Pages 1 .. width + 2 followed by E-oo, with the r list used."""
     rs = list(range(1, stable_page_index(fc) + 1))
-    return rs + [-1], complex_pages(fc, rs[-1])
+    return rs + [-1], pages(fc.barcode(), rs[-1])
 
 
 class TestPersistenceOracle:
