@@ -238,8 +238,8 @@ def cmd_distinguish(args) -> int:
         p = 2 * d - 4
         wh = _valid_window(hopf, Fraction(13, 2))
         wu = _valid_window(unlink, 2 * args.z2star + Fraction(1, 2))
-        lh = free_dga.homology_dim(hopf, p, wh)
-        lu = free_dga.homology_dim(unlink, p, wu)
+        lh = free_dga.homology_dims_all(hopf, wh, [p])[p]
+        lu = free_dga.homology_dims_all(unlink, wu, [p])[p]
         verdict = "DISTINCT" if lh != lu else "SAME"
         print(f"degree {p}: linked pair dim = {lh}, spaced pair dim = {lu}")
         print(f"verdict: {verdict}")

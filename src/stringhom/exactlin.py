@@ -9,7 +9,8 @@ negation) and moves to ``fractions.Fraction`` only when it divides by a
 lead that is not +-1; the built-in differentials never need it.
 
 ``homology_dims`` is the one place where homology dimensions are formed
-from block ranks, taken from the top degree down with clearing.  Matrices
+from block ranks, taken from the top degree down with clearing; only it
+decides which cells' boundaries to ask for.  Matrices
 store a ``(row, col) -> int or Fraction`` map with no explicit zeros
 (``int`` entries stay ``int``, as in ``RowReducer``); row vectors are plain
 ``{col: int or Fraction}`` dicts.
@@ -19,7 +20,7 @@ every basis produced here deterministic regardless of input order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 
@@ -179,19 +180,19 @@ class RowReducer:
         return [final[c] for c in cols]
 
 
-def homology_dims(sizes: Mapping[int, int], blocks: Iterable) -> dict[int, int]:
+def homology_dims(sizes: Mapping[int, int], sources: Mapping, column: Callable) -> dict[int, int]:
     """dim H_n = sizes[n] - rank d_n - rank d_(n+1) for each degree n of ``sizes``.
 
-    ``blocks`` yields ``(n, rows)`` for d_n, the boundary out of degree n;
-    ``rows(cleared)`` gives the rows of d_n (empty rows are skipped) from
-    the cells of degree n that are not in ``cleared``.  Each row is a fresh
-    dict of nonzero ``int`` or ``Fraction`` entries, consumed here, and a
-    cell is named by its column in d_(n+1).  A degree never named has
-    d_n = 0.  Each block gets its own reducer.
+    ``sources[n]`` lists the cells of degree n whose boundary may be asked
+    for, and ``column(cell)`` gives that boundary, d_n of the cell, as a
+    fresh dict of nonzero ``int`` or ``Fraction`` entries keyed by cells of
+    degree n - 1, consumed here.  A degree not in ``sources`` has d_n = 0;
+    cell names are unique across degrees.  Empty columns are skipped, and
+    each block d_n gets its own reducer.
 
-    Blocks are ranked from the top degree down, with clearing: ``cleared``
-    holds the pivot columns of d_(n+1) when that block was just ranked, and
-    their rows are left out of d_n without changing its rank:
+    Blocks are ranked from the top degree down, with clearing: a cell that
+    is a pivot column of the block just ranked is never asked for, as its
+    row would leave the rank of d_n unchanged:
 
     * a pivot row R of d_(n+1) is a boundary, so D(R) = 0;
     * R's lead has coefficient 1 and its other columns come later, so D of
@@ -199,21 +200,14 @@ def homology_dims(sizes: Mapping[int, int], blocks: Iterable) -> dict[int, int]:
     * by induction from the last column down, the rows of the cells that
       are no pivot already span the image of d_n.
     """
-    ranks = _cleared_ranks(blocks)
-    return {n: size - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, size in sizes.items()}
-
-
-def _cleared_ranks(blocks: Iterable) -> dict[int, int]:
-    """Rank of each block of ``homology_dims``, top degree first, with clearing."""
-    ranks: dict[int, int] = {}
-    above, pivots = None, ()
-    for n, rows in sorted(blocks, key=lambda block: -block[0]):
+    ranks, cleared = {}, {}
+    for n in sorted(sources, reverse=True):
         red = RowReducer()
-        for row in rows(pivots if above == n + 1 else ()):
-            if row:
+        for cell in sources[n]:
+            if cell not in cleared and (row := column(cell)):
                 red.add(row, owned=True)
-        ranks[n], above, pivots = red.rank, n, set(red.pivots)
-    return ranks
+        ranks[n], cleared = red.rank, red.pivots
+    return {n: size - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, size in sizes.items()}
 
 
 class Subspace:

@@ -34,7 +34,7 @@ import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key
 from math import lcm
 
 from . import exactlin, jsonio
@@ -298,8 +298,8 @@ def _word_differential(dga: DGA, word: Word, out: dict, coeff, index: dict | Non
     """Accumulate coeff * D(word) into ``out`` (word -> int or Fraction).
 
     Coefficients stay ``int`` while ``coeff`` and the D-terms are integral.
-    With ``index``, ``out`` is keyed by each word's number there instead; a
-    word not yet numbered gets the next free number.
+    With ``index``, ``out`` is keyed by each word's number there instead,
+    looked up: a target missing from ``index`` raises ``KeyError``.
     """
     letters = dga._letters
     odd_prefix = 0
@@ -314,7 +314,7 @@ def _word_differential(dga: DGA, word: Word, out: dict, coeff, index: dict | Non
             for tw, tc in terms:
                 key = left + tw + right
                 if index is not None:
-                    key = index.setdefault(key, len(index))
+                    key = index[key]
                 val = out.get(key, 0) + sign_coeff * tc
                 if val:
                     out[key] = val
@@ -501,28 +501,13 @@ def _enumerate_words(
     return out
 
 
-def _diff_rows(dga: DGA, source: Iterable[Word], index: dict[Word, int]):
-    """Nonzero rows of D on ``source``, columns numbered by ``index``.
-
-    A target word missing from ``index`` gets the next free number, so an
-    index that starts empty numbers the columns on first sight; one that
-    already holds the whole target degree of a valid window is never
-    extended, since the differential never increases length.  A word whose
-    letters all have D = 0 is skipped: it gives no row.
-    """
-    dead = dga._dead
-    for w in source:
-        if dead.issuperset(w):
-            continue
-        row: dict = {}
-        _word_differential(dga, w, row, 1, index)
-        if row:
-            yield row
-
-
-def homology_dim(dga: DGA, degree: int, window: LengthWindow) -> int:
-    """dim ker(D at this degree) - dim im(D from one degree up)."""
-    return homology_dims_all(dga, window, [degree])[degree]
+def _row(dga: DGA, word: Word, index: dict[Word, int]) -> dict:
+    """D(word) as a fresh row keyed by each target's number in ``index``, which must
+    number every target (else ``KeyError``); empty when every letter has D = 0."""
+    row: dict = {}
+    if not dga._dead.issuperset(word):
+        _word_differential(dga, word, row, 1, index)
+    return row
 
 
 def homology_dims_all(dga: DGA, window: LengthWindow, degrees: Iterable[int]) -> dict[int, int]:
@@ -614,15 +599,15 @@ def _segments(dga: DGA, moves: list, cap: int | None) -> dict[tuple, dict[int, l
 
 
 def _segment_homology(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
-    """Nonzero homology of one block, whose D keeps it.  A degree cut off by the
-    block's degree cap leaves the one below it too high; ``_over_blocks`` drops it."""
-    index = {p: {w: i for i, w in enumerate(ws)} for p, ws in by_deg.items()}
-
-    def rows(p, cleared):
-        return _diff_rows(dga, (w for w in by_deg[p] if index[p][w] not in cleared), index[p - 1])
-
+    """Nonzero homology of one block, whose D keeps it, its words numbered by one
+    index.  A degree cut off by the block's degree cap leaves the one below it
+    too high; ``_over_blocks`` drops it."""
+    words = [w for ws in by_deg.values() for w in ws]
+    index = {w: i for i, w in enumerate(words)}
     dims = exactlin.homology_dims({p: len(ws) for p, ws in by_deg.items()},
-                                  [(p, partial(rows, p)) for p in by_deg if p - 1 in by_deg])
+                                  {p: [index[w] for w in ws] for p, ws in by_deg.items()
+                                   if p - 1 in by_deg},
+                                  lambda i: _row(dga, words[i], index))
     return {p: h for p, h in dims.items() if h}
 
 
@@ -632,9 +617,11 @@ def _segment_h0(dga: DGA, by_deg: dict[int, list[Word]]) -> dict[int, int]:
     less the pivots of w letters.  No clearing as in ``_segment_homology``: at
     degree cap 1 no degree-2 block is ranked whose pivots could be left out."""
     columns = sorted(by_deg.get(0, ()), key=lambda w: (-len(w), w))
+    index = {w: i for i, w in enumerate(columns)}
     red = RowReducer()
-    for row in _diff_rows(dga, by_deg.get(1, ()), {w: i for i, w in enumerate(columns)}):
-        red.add(row, owned=True)
+    for w in by_deg.get(1, ()):
+        if row := _row(dga, w, index):
+            red.add(row, owned=True)
     slices = Counter(map(len, columns))
     slices.subtract(len(columns[c]) for c in red.pivots)
     return {k: v for k, v in slices.items() if v}

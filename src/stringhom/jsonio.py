@@ -30,11 +30,12 @@ def field(record, key: str, kinds: type | tuple, what: str, error: type, default
 
 
 def load(path, error: type):
-    """The parsed JSON file at ``path``; an unreadable file or invalid JSON raises ``error``."""
+    """The parsed JSON file at ``path``; an unreadable file or invalid JSON (nested too
+    deeply for the parser included) raises ``error``."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {path} as JSON: {exc}") from exc
 
 

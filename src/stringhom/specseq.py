@@ -58,9 +58,6 @@ class FilteredComplex:
         if boundary.rows != len(cells) or boundary.cols != len(cells):
             raise FilteredComplexError("boundary shape must match the cell count")
         self.boundary = boundary
-        self.index = {c.id: i for i, c in enumerate(self.cells)}
-        if len(self.index) != len(self.cells):
-            raise FilteredComplexError("duplicate cell ids")
         self.validate()
 
     def validate(self) -> None:
@@ -82,14 +79,8 @@ class FilteredComplex:
         by_degree: dict[int, list[int]] = {}
         for i, c in enumerate(self.cells):
             by_degree.setdefault(c.degree, []).append(i)
-        cols = self.boundary.col_dicts()
-        return exactlin.homology_dims(
-            {n: len(idxs) for n, idxs in by_degree.items()},
-            [
-                (n, lambda cleared, idxs=idxs: (cols[j] for j in idxs if j not in cleared))
-                for n, idxs in by_degree.items()
-            ],
-        )
+        return exactlin.homology_dims({n: len(idxs) for n, idxs in by_degree.items()},
+                                      by_degree, self.boundary.col_dicts().__getitem__)
 
     def barcode(self) -> dict[tuple, int]:
         """Cells counted by (filtration, degree, gap), from one filtered reduction.
@@ -133,9 +124,6 @@ class PageTable(namedtuple("PageTable", "r dims")):
     """Page E^r as ``dims[p, q]``; E-oo has ``r == -1``."""
 
     __slots__ = ()
-
-    def dim(self, p: int, q: int) -> int:
-        return self.dims.get((p, q), 0)
 
     def nonzero(self) -> list[tuple[int, int, int]]:
         return [(p, q, d) for (p, q), d in sorted(self.dims.items()) if d > 0]
@@ -200,8 +188,9 @@ def from_dga(dga: free_dga.DGA, window: free_dga.LengthWindow) -> FilteredComple
 def _complex(dga: free_dga.DGA, words: list) -> FilteredComplex:
     """Weight-filtered complex on ``words``, which D must map into their span.
 
-    Degree and weight are summed from per-letter tables built once, and a
-    word made only of letters with D = 0 gets no boundary column.
+    Degree and weight are summed from per-letter tables built once, and
+    column j is ``free_dga._row`` of word j.  Cell ids join letters with
+    ``*`` and need not be unique.
     """
     index = {w: i for i, w in enumerate(words)}
     degree = {g.id: g.degree for g in dga.generators}.__getitem__
@@ -212,11 +201,7 @@ def _complex(dga: free_dga.DGA, words: list) -> FilteredComplex:
     ]
     entries: dict = {}
     for j, w in enumerate(words):
-        if not dga._dead.issuperset(w):
-            img: dict = {}
-            # ``words`` are closed under D, so ``index`` already numbers every target.
-            free_dga._word_differential(dga, w, img, 1, index)
-            entries.update(((i, j), c) for i, c in img.items())
+        entries.update(((i, j), c) for i, c in free_dga._row(dga, w, index).items())
     boundary = SparseMatrix(len(words), len(words), entries)
     return FilteredComplex(cells, boundary)
 
@@ -244,9 +229,9 @@ def complex_from_json_dict(data: Mapping) -> FilteredComplex:
     ``degree`` and ``filtration``; ``boundary`` (default empty) holds
     records with string ``from`` and ``to`` naming cells and a ``coeff``,
     a rational as a string or an integer.  A missing key, a field of the
-    wrong JSON type, an unknown cell, a repeated record, a coefficient that
-    is not a rational, or a boundary that fails ``validate`` raises
-    ``FilteredComplexError``.
+    wrong JSON type, a repeated cell id, an unknown cell, a repeated
+    record, a coefficient that is not a rational, or a boundary that fails
+    ``validate`` raises ``FilteredComplexError``.
     """
 
     def get(record, key, kinds, what, default=jsonio.REQUIRED):
@@ -258,6 +243,8 @@ def complex_from_json_dict(data: Mapping) -> FilteredComplex:
         for c in get(data, "cells", list, "complex")
     ]
     index = {c.id: i for i, c in enumerate(cells)}
+    if len(index) != len(cells):
+        raise FilteredComplexError("duplicate cell ids")
     entries = {}
     for rec in get(data, "boundary", list, "complex", []):
         src, dst = get(rec, "from", str, "boundary record"), get(rec, "to", str, "boundary record")

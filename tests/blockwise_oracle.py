@@ -6,13 +6,12 @@ reference route for ``free_dga.homology_dims_all`` and
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 
 from dga_oracle import degree_counts
 
 from stringhom import exactlin
 from stringhom.exactlin import RowReducer
-from stringhom.free_dga import DGA, UNIT, Word, _diff_rows
+from stringhom.free_dga import DGA, UNIT, Word, _word_differential
 
 
 def quotient_slice_dims(slice_sizes: list[int], pivot_weights) -> list[int]:
@@ -73,10 +72,10 @@ def blockwise_dims(dga: DGA, moves: list, wanted: list[int]) -> dict[int, int]:
 
     No word list is built.  The basis size of each degree is counted by one
     dynamic program over the ``_moves`` table, ``counts[rank][degree]``
-    pushed forward by each letter.  Rows of D come only from words
-    with a live letter (D != 0) in a degree that sources a needed block,
-    found in one walk; each block numbers its columns on first sight.  The
-    block from degree p to p - 1 serves both H_p and H_(p-1), and
+    pushed forward by each letter.  The sources of the blocks are only the
+    words with a live letter (D != 0) in a degree that sources a needed
+    block, found in one walk, and their rows are keyed by word.  The block
+    from degree p to p - 1 serves both H_p and H_(p-1), and
     ``exactlin.homology_dims`` ranks the blocks from the top down with
     clearing.
     """
@@ -86,18 +85,13 @@ def blockwise_dims(dga: DGA, moves: list, wanted: list[int]) -> dict[int, int]:
         dga, moves,
         {p + k for p in wanted for k in (0, 1) if p + k in sizes and p + k - 1 in sizes},
     )
-    # columns[q] numbers the degree-q words on first sight as columns of
-    # the block of degree q + 1; the block of degree q reads it to find its
-    # cleared sources and then drops it, as it drops its own sources.
-    columns: dict[int, dict[Word, int]] = {}
 
-    def rows(p: int, cleared):
-        above = columns.pop(p, {})
-        live = (w for w in sources.pop(p) if above.get(w) not in cleared)
-        return _diff_rows(dga, live, columns.setdefault(p - 1, {}))
+    def column(w: Word) -> dict:
+        row: dict = {}
+        _word_differential(dga, w, row, 1)
+        return row
 
-    blocks = [(p, partial(rows, p)) for p in sources]
-    return exactlin.homology_dims({p: sizes.get(p, 0) for p in wanted}, blocks)
+    return exactlin.homology_dims({p: sizes.get(p, 0) for p in wanted}, sources, column)
 
 
 def blockwise_h0(dga: DGA, moves: list, wmax: int) -> list[int]:

@@ -15,8 +15,8 @@ in ``_segment_h0``.  The routes here share none of that:
   window from ``_enumerate_words``, as ``free_dga`` did before it counted
   bases along the length table.  Homology keys each row of
   ``_word_differential`` by word, against a full index of the target
-  degree, and ranks each block whole: no counting, live-word walk, column
-  numbering on first sight or clearing is shared;
+  degree, and ranks each block whole: no counting, live-word walk or
+  clearing is shared;
 * ``word_weight`` and ``word_key`` look every letter up through
   ``DGA.gen``, and ``filtered_complex`` builds the weight-filtration complex
   that way, one ``_word_differential`` per word keyed by word, as

@@ -178,19 +178,14 @@ def associated_graded_homology(fc: FilteredComplex) -> dict[tuple[int, int], int
     cols = fc.boundary.col_dicts()
     for p in levels:
         idxs = [i for i, c in enumerate(fc.cells) if c.filtration == p]
-        sub = {j: k for k, j in enumerate(idxs)}
+        level = set(idxs)
         by_degree: dict[int, list[int]] = {}
         for j in idxs:
             by_degree.setdefault(fc.cells[j].degree, []).append(j)
         dims = exactlin.homology_dims(
             {n: len(js) for n, js in by_degree.items()},
-            [
-                (n, lambda cleared, js=js: (
-                    {sub[i]: v for i, v in cols[j].items() if i in sub}
-                    for j in js if sub[j] not in cleared
-                ))
-                for n, js in by_degree.items()
-            ],
+            by_degree,
+            lambda j: {i: v for i, v in cols[j].items() if i in level},
         )
         for n, dim in dims.items():
             if dim:

@@ -319,6 +319,27 @@ class TestSpecseq:
         assert csvs["plain"] == csvs["builtin"]
         assert csvs["relabelled"] == csvs["builtin"]
 
+    @pytest.mark.parametrize(
+        "letters,h0",
+        [([("1", "1")], 6), ([("a*b", "1"), ("a", "2/3"), ("b", "2/3")], 52)],
+        ids=["unit_name", "star_name"],
+    )
+    def test_word_ids_may_repeat_a_letter_id(self, letters, h0, tmp_path, capsys):
+        # D(x) = y shortens, so the whole window is one block.  Its cell ids
+        # join letters with "*" and name the unit word "1", so a word's id
+        # repeats the letter id "1" or "a*b", which an input complex may not do.
+        # H_0 counts the degree-0 words less y, the one boundary.
+        gens = [{"id": "x", "degree": 1, "length": "2"}, {"id": "y", "degree": 0, "length": "1"}]
+        gens += [{"id": gid, "degree": 0, "length": length} for gid, length in letters]
+        spec = _write_json(tmp_path / "ids.json", {
+            "generators": gens, "diff": {"x": [{"coeff": "1", "word": ["y"]}]}})
+        window = ["--spec", spec, "--a", "5/2", "--outdir", str(tmp_path)]
+        code, out, _ = run(["dga-homology", *window, "--degree", "0"], capsys)
+        assert (code, out) == (0, f"H_0 (a=5/2) dim = {h0}\n")
+        code, out, _ = run(["specseq", *window, "--rmax", "1"], capsys)
+        assert code == 0
+        assert "convergence to total homology: OK" in out
+
 
 def _write_json(path, data):
     path.write_text(json.dumps(data))
@@ -373,16 +394,18 @@ class TestFileInputs:
             (_edit(lambda d: d["cells"][0].pop("filtration")), "lacks the key 'filtration'"),
             (_edit(lambda d: d["cells"][0].update(degree="0")), "must be int"),
             (_edit(lambda d: d["cells"].__setitem__(0, ["1", 0, 0])), "is not a JSON object"),
+            (_edit(lambda d: d["cells"].append(dict(d["cells"][0]))), "duplicate cell ids"),
             (_edit(lambda d: d["boundary"][0].update(to="nowhere")), "unknown cell"),
             (_edit(lambda d: d["boundary"].append(dict(d["boundary"][0]))), "duplicate"),
             (_edit(lambda d: d["boundary"][0].update(coeff="x")), "is not a rational"),
             (_edit(lambda d: d["boundary"][0].update(coeff=1.5)), "must be str or int"),
             (_edit(lambda d: next(c for c in d["cells"] if c["id"] == d["boundary"][0]["from"])
                    .update(degree=7)), "degree drop is not 1"),
+            ("[" * 100_000, "cannot read"),
         ],
         ids=["not_json", "missing_file", "no_cells", "no_filtration", "degree_str",
-             "cell_not_object", "unknown_cell", "duplicate_record", "bad_coeff",
-             "float_coeff", "invalid_boundary"],
+             "cell_not_object", "duplicate_cell_id", "unknown_cell", "duplicate_record",
+             "bad_coeff", "float_coeff", "invalid_boundary", "deeply_nested"],
     )
     def test_complex_loader_errors(self, text, match, tmp_path, capsys):
         path = tmp_path / "fc.json"
@@ -467,9 +490,11 @@ class TestFileInputs:
             (_edit(lambda d: d["skein"][0].update(left="nowhere")), "unknown generator nowhere"),
             (_edit(lambda d: d["generators"].append(dict(d["generators"][0]))), "duplicate"),
             (_edit(lambda d: d.update(bound=2)), "exceeds presentation bound"),
+            ("[" * 100_000, "cannot read"),
         ],
         ids=["not_json", "missing_file", "no_generators", "source_str", "record_not_object",
-             "unknown_skein_generator", "duplicate_generator", "wmax_beyond_bound"],
+             "unknown_skein_generator", "duplicate_generator", "wmax_beyond_bound",
+             "deeply_nested"],
     )
     def test_presentation_loader_errors(self, text, match, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -727,6 +752,13 @@ class TestErrorExits:
         for sub in (["dga-homology", "--degree", "0"], ["specseq"]):
             err = self.check(sub + ["--spec", str(spec), "--a", "2.5"], 3, tmp_path, capsys)
             assert "radicands" in err
+
+    def test_deeply_nested_spec_exit_3(self, tmp_path, capsys):
+        spec = tmp_path / "nested.json"
+        spec.write_text("[" * 100_000)
+        for sub in (["dga-homology", "--degree", "0"], ["specseq"]):
+            err = self.check(sub + ["--spec", str(spec), "--a", "2.5"], 3, tmp_path, capsys)
+            assert err.startswith("error: invalid DGA: cannot read ") and " as JSON: " in err
 
     def test_unknown_letter_exit_3(self, tmp_path, capsys):
         spec = tmp_path / "letter.json"

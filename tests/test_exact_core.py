@@ -17,8 +17,8 @@ from stringhom.free_dga import (
     AlgebraElement,
     Generator,
     LengthWindow,
-    _diff_rows,
     _enumerate_words,
+    _row,
     _word_differential,
     build_hopf,
     build_unlink,
@@ -148,9 +148,17 @@ def test_dead_letter_skip_keeps_every_row(case):
     for w in basis1:
         img: dict = {}
         _word_differential(dga, w, img, 1)
-        if img:
-            unskipped.append({index[ww]: c for ww, c in img.items()})
-    assert list(_diff_rows(dga, basis1, index)) == unskipped
+        unskipped.append({index[ww]: c for ww, c in img.items()})
+    assert [_row(dga, w, index) for w in basis1] == unskipped
+
+
+def test_row_needs_every_target_numbered():
+    # D(b) = xy - yx: with yx left out of the index, the row cannot be built.
+    dga = _dead_and_live_spec()
+    index = {("x", "y"): 0}
+    with pytest.raises(KeyError):
+        _row(dga, ("b",), index)
+    assert index == {("x", "y"): 0}
 
 
 def test_differential_matches_leibniz_oracle(case):

@@ -182,27 +182,40 @@ class TestKernel:
 
 
 def test_homology_dims_from_blocks():
-    # An interval: d_1 sends the edge to the difference of its two ends.  The
-    # 2-cell is a cycle (empty row), and d_0 is named by no block.
-    blocks = iter([(1, lambda cleared: iter([{0: 1, 1: -1}])), (2, lambda cleared: iter([{}]))])
-    assert homology_dims({0: 2, 1: 1, 2: 1}, blocks) == {0: 1, 1: 0, 2: 1}
+    # An interval: d_1 sends the edge 2 to the difference of its two ends 0
+    # and 1.  The 2-cell 3 is a cycle (empty column), and d_0 is in no source.
+    boundary = {2: {0: 1, 1: -1}, 3: {}}
+    sources = {1: [2], 2: [3]}
+    assert homology_dims({0: 2, 1: 1, 2: 1}, sources, lambda c: dict(boundary[c])) == {
+        0: 1, 1: 0, 2: 1}
+
+
+# A filled triangle: vertices 0, 1, 2, edges 3 = [0,1], 4 = [1,2], 5 = [0,2]
+# and the face 6 with boundary 3 + 4 - 5, whose pivot column is edge 3.
+TRIANGLE = {3: {1: 1, 0: -1}, 4: {2: 1, 1: -1}, 5: {2: 1, 0: -1}, 6: {3: 1, 4: 1, 5: -1}}
+
+
+def _recorded(asked: list):
+    def column(cell):
+        asked.append(cell)
+        return dict(TRIANGLE[cell])
+    return column
 
 
 def test_homology_dims_clears_pivot_cells():
-    # A filled triangle: vertices 0, 1, 2, edges 3 = [0,1], 4 = [1,2], 5 = [0,2]
-    # and the face 6 with boundary 3 + 4 - 5, whose pivot column is edge 3.
-    edges = {3: {1: 1, 0: -1}, 4: {2: 1, 1: -1}, 5: {2: 1, 0: -1}}
-    seen = {}
+    # The face is ranked first; its pivot, edge 3, is never asked for.
+    asked = []
+    dims = homology_dims({0: 3, 1: 3, 2: 1}, {1: [3, 4, 5], 2: [6]}, _recorded(asked))
+    assert dims == {0: 1, 1: 0, 2: 0}
+    assert asked == [6, 4, 5]
 
-    def rows(n, cells, boundary):
-        def given(cleared):
-            seen[n] = set(cleared)
-            return (dict(boundary[c]) for c in cells if c not in cleared)
-        return n, given
 
-    blocks = [rows(1, [3, 4, 5], edges), rows(2, [6], {6: {3: 1, 4: 1, 5: -1}})]
-    assert homology_dims({0: 3, 1: 3, 2: 1}, blocks) == {0: 1, 1: 0, 2: 0}
-    assert seen == {2: set(), 1: {3}}
+def test_homology_dims_asks_only_for_source_degrees():
+    # With d_1 declared zero, no edge is asked for, though the sizes name degree 1.
+    asked = []
+    dims = homology_dims({0: 3, 1: 3, 2: 1}, {2: [6]}, _recorded(asked))
+    assert dims == {0: 3, 1: 2, 2: 0}
+    assert asked == [6]
 
 
 @given(
